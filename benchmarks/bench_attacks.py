@@ -9,6 +9,13 @@ The warm pass also cross-checks that cached outcomes are bit-identical
 to the cold computation, and that every connection-recovering scenario
 beat the random floor.
 
+The ``matcher`` block times the netflow matcher alone on the b14 /
+scale 0.03 / M4 / k32 instance of the attack smoke grid: CPU seconds
+of the whole-graph reference solver (:class:`MinCostFlow`) against the
+incremental solver, on the same canonical costs, with hint-3 load
+limits (capacitated) and without (unbounded).  Both must return the
+identical matching.
+
 Usage::
 
     python benchmarks/bench_attacks.py --quick     # CI smoke cell
@@ -23,15 +30,33 @@ import json
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.adversary import build_candidates, get_engine  # noqa: E402
+from repro.adversary.engine import (  # noqa: E402
+    DEFAULT_CANDIDATES_PER_SINK,
+    DEFAULT_LOAD_LIMIT,
+)
 from repro.adversary.evaluate import grid_verdict  # noqa: E402
+from repro.adversary.netflow import (  # noqa: E402
+    canonical_arcs,
+    incremental_ssp,
+    reference_match,
+)
 from repro.runner import run_attack_campaign  # noqa: E402
 from repro.runner.profiles import attack_smoke_campaign  # noqa: E402
 from repro.runner.spec import AttackCampaignSpec  # noqa: E402
+from repro.runner.stages import cell_layout, locked_design  # noqa: E402
+
+#: Key size of the matcher instance (the smoke grid runs k16).
+MATCHER_KEY_BITS = 32
+#: Incremental-solver repeats per mode (median reported): one solve
+#: takes milliseconds, the reference seconds.
+MATCHER_REPEATS = 5
 
 
 def quick_campaign() -> AttackCampaignSpec:
@@ -73,6 +98,61 @@ def verify(cold, warm) -> None:
     ok, problems = grid_verdict(cold.outcomes())
     if not ok:
         raise AssertionError("; ".join(problems))
+
+
+def _cpu_seconds(solve) -> tuple[float, object]:
+    start = time.process_time()
+    result = solve()
+    return time.process_time() - start, result
+
+
+def matcher_bench() -> dict:
+    """Reference vs incremental matcher CPU seconds per capacity mode."""
+    spec = replace(attack_smoke_campaign(), key_bits=(MATCHER_KEY_BITS,))
+    cell = next(
+        acell.cell for acell in spec.cells() if acell.cell.benchmark == "b14"
+    )
+    design = locked_design(cell)
+    view = cell_layout(cell, design=design).feol_view(cell.split_layer)
+    candidates = build_candidates(view, per_sink=DEFAULT_CANDIDATES_PER_SINK)
+    costs, _ = get_engine("netflow").costs(None, candidates)
+    arcs = canonical_arcs(candidates, costs)
+    block = {
+        "instance": f"b14/M{cell.split_layer}/k{MATCHER_KEY_BITS} "
+        f"(scale {cell.scale})",
+        "sinks": arcs.num_sinks,
+        "arcs": len(arcs.sink),
+    }
+    for mode, load_limit in (
+        ("capacitated", DEFAULT_LOAD_LIMIT),
+        ("unbounded", None),
+    ):
+        reference_s, (expected, _, _) = _cpu_seconds(
+            lambda: reference_match(arcs, load_limit, arcs.cost)
+        )
+        runs = [
+            _cpu_seconds(lambda: incremental_ssp(arcs, load_limit))
+            for _ in range(MATCHER_REPEATS)
+        ]
+        if any(matched != expected for _, matched in runs):
+            raise AssertionError(
+                f"matcher ({mode}): incremental matching differs from "
+                "the reference"
+            )
+        incremental_s = median(seconds for seconds, _ in runs)
+        block[mode] = {
+            "load_limit": load_limit,
+            "reference_cpu_seconds": reference_s,
+            "incremental_cpu_seconds": incremental_s,
+            "speedup": reference_s / max(incremental_s, 1e-9),
+            "unmatched": expected.count(None),
+        }
+        print(
+            f"matcher {mode:>11}: reference {reference_s:.3f}s, "
+            f"incremental {incremental_s * 1e3:.1f}ms "
+            f"({block[mode]['speedup']:.0f}x, identical matching)"
+        )
+    return block
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         "cache_speedup": cold_seconds / max(warm_seconds, 1e-9),
         "cold_cache": asdict(cold.cache_stats()),
         "warm_cache": asdict(warm.cache_stats()),
+        "matcher": matcher_bench(),
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")

@@ -104,6 +104,16 @@ GATES: dict[str, tuple[Metric, ...]] = {
             direction="lower",
             tolerance=ABSOLUTE_TOLERANCE,
         ),
+        # The netflow matcher alone: whole-graph reference vs the
+        # incremental solver, CPU seconds on one instance.
+        Metric(
+            "matcher_speedup_capacitated",
+            lambda p: p["matcher"]["capacitated"]["speedup"],
+        ),
+        Metric(
+            "matcher_speedup_unbounded",
+            lambda p: p["matcher"]["unbounded"]["speedup"],
+        ),
     ),
     "BENCH_defenses": (
         Metric("cache_speedup", lambda p: p["cache_speedup"]),

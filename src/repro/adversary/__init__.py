@@ -7,8 +7,9 @@
   the min-cost network-flow matcher and the learned scorer);
 * :mod:`repro.adversary.features` — FEOL feature extraction for
   candidate (source, sink) pairs;
-* :mod:`repro.adversary.netflow`  — successive-shortest-path min-cost
-  flow matching, engine-agnostic over any cost vector;
+* :mod:`repro.adversary.netflow`  — min-cost max-flow matching on
+  canonical tie-broken costs (incremental successive shortest path),
+  engine-agnostic over any cost vector;
 * :mod:`repro.adversary.learned`  — NumPy-only logistic scorer trained
   on self-generated labeled splits;
 * :mod:`repro.adversary.evaluate` — scenario execution and batched

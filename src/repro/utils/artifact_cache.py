@@ -49,7 +49,10 @@ from repro.utils.env import env_cache_dir
 #: v3: AttackOutcome diagnostics gained the ``recovery`` (and, for
 #: defended cells, ``defense``) blocks — the defense-matrix verdict
 #: reads them, so pre-bump attack artifacts would fail it as stale.
-CACHE_VERSION = 3
+#: v4: the netflow matcher breaks cost ties canonically (a fixed
+#: (sink stub id, net) mix folded into the arc costs), which moves a
+#: few tied sinks of every netflow/learned attack artifact.
+CACHE_VERSION = 4
 
 #: Suffix of in-flight write temp files (see :meth:`ArtifactCache.put`).
 TMP_SUFFIX = ".tmp"

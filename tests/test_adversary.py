@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import (
     FEATURE_NAMES,
@@ -24,7 +31,13 @@ from repro.adversary import (
     train_scorer,
 )
 from repro.adversary.engine import AttackContext
-from repro.adversary.netflow import flow_assignment
+from repro.adversary.features import CandidateSet
+from repro.adversary.netflow import (
+    _match_nets,
+    canonical_arcs,
+    flow_assignment,
+    reference_match,
+)
 from repro.locking import AtpgLockConfig, atpg_lock
 from repro.metrics import compute_ccr
 from repro.phys import build_locked_layout
@@ -167,6 +180,220 @@ def test_flow_assignment_is_deterministic(attacked_design):
     second, diag_b = flow_assignment(view, candidates, costs, load_limit=5)
     assert first == second
     assert diag_a == diag_b
+
+
+def _synthetic_candidates(sink_ids, sources, pairs) -> CandidateSet:
+    """A view-less candidate set: what the matcher reads, nothing more.
+
+    *sources* are ``(net name, is_tie)`` branch stubs; *pairs* are
+    ``(sink index, source index)`` rows in hand-score order.
+    """
+    per_sink: list[list[int]] = [[] for _ in sink_ids]
+    for sink_i, src_i in pairs:
+        per_sink[sink_i].append(src_i)
+    return CandidateSet(
+        view=None,
+        sinks=[SimpleNamespace(stub_id=i) for i in sink_ids],
+        sources=[SimpleNamespace(net=n, is_tie=t) for n, t in sources],
+        per_sink=per_sink,
+        pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        features=np.zeros((len(pairs), 0)),
+        _net_of_source=[net for net, _ in sources],
+    )
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small matchings with costs in {-1, 0, 1, 2}: ties everywhere."""
+    num_nets = draw(st.integers(1, 5))
+    names = draw(st.permutations([f"net{k}" for k in range(num_nets)]))
+    sources = []
+    for name in names:
+        is_tie = draw(st.sampled_from((False, False, False, True)))
+        sources += [(name, is_tie)] * draw(st.integers(1, 3))
+    num_sinks = draw(st.integers(1, 9))
+    sink_ids = draw(
+        st.lists(
+            st.integers(0, 10_000),
+            min_size=num_sinks,
+            max_size=num_sinks,
+            unique=True,
+        )
+    )
+    pairs, costs = [], []
+    for sink_i in range(num_sinks):
+        chosen = draw(
+            st.lists(
+                st.integers(0, len(sources) - 1),
+                min_size=1,
+                max_size=len(sources),
+                unique=True,
+            )
+        )
+        for src_i in chosen:
+            pairs.append((sink_i, src_i))
+            costs.append(float(draw(st.integers(-1, 2))))
+    load_limit = draw(st.sampled_from((None, 1, 2, 5)))
+    candidates = _synthetic_candidates(sink_ids, sources, pairs)
+    return candidates, np.array(costs), load_limit
+
+
+def _assert_matches_oracle(candidates, costs, load_limit):
+    """Incremental SSP == whole-graph SSP on the canonical costs."""
+    arcs = canonical_arcs(candidates, costs)
+    match = _match_nets(candidates, costs, load_limit)
+    oracle, oracle_flow, _ = reference_match(arcs, load_limit, arcs.cost)
+    assert match.matched_net == [
+        None if j is None else arcs.nets[j] for j in oracle
+    ]
+    assert match.flow == oracle_flow
+    # flow_cost is the unperturbed optimum: the raw-cost SSP total.
+    _, raw_flow, raw_cost = reference_match(arcs, load_limit, arcs.base)
+    assert (match.flow, match.cost) == (raw_flow, raw_cost)
+    return match
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_instances())
+def test_incremental_ssp_matches_reference_oracle(instance):
+    _assert_matches_oracle(*instance)
+
+
+@pytest.mark.parametrize("load_limit", [None, 1, 2, 5])
+@pytest.mark.parametrize("per_sink", [4, 16])
+def test_incremental_ssp_matches_reference_on_layout(
+    attacked_design, load_limit, per_sink
+):
+    _, _, _, view = attacked_design
+    candidates = build_candidates(view, per_sink=per_sink)
+    costs = candidates.features[:, -1] * candidates.span
+    _assert_matches_oracle(candidates, costs, load_limit)
+
+
+def test_capacity_leaves_sinks_unmatched():
+    # Five sinks, one net of load 2: exactly two matched, and which
+    # two is decided by the canonical tie weights, not visit order.
+    candidates = _synthetic_candidates(
+        [40, 10, 30, 20, 50],
+        [("x", False)],
+        [(i, 0) for i in range(5)],
+    )
+    match = _assert_matches_oracle(candidates, np.zeros(5), 2)
+    assert match.flow == 2
+    assert match.matched_net.count(None) == 3
+
+
+def test_tie_nets_ignore_the_load_limit():
+    candidates = _synthetic_candidates(
+        [1, 2, 3, 4],
+        [("tie0", True), ("x", False)],
+        [(i, src) for i in range(4) for src in (0, 1)],
+    )
+    costs = np.array([0.0, 1.0] * 4)  # every sink prefers the TIE net
+    match = _assert_matches_oracle(candidates, costs, 1)
+    assert match.matched_net == ["tie0"] * 4
+    assert match.cost == 0
+
+
+def _permuted(candidates, costs, rng):
+    """The same instance with candidate rows and source stubs shuffled."""
+    rows = rng.permutation(candidates.num_pairs)
+    order = rng.permutation(len(candidates.sources))
+    new_index = np.empty_like(order)
+    new_index[order] = np.arange(len(order))
+    pairs = candidates.pairs[rows].copy()
+    pairs[:, 1] = new_index[pairs[:, 1]]
+    per_sink: list[list[int]] = [[] for _ in candidates.sinks]
+    for sink_i, src_i in pairs.tolist():
+        per_sink[sink_i].append(src_i)
+    shuffled = CandidateSet(
+        view=candidates.view,
+        sinks=candidates.sinks,
+        sources=[candidates.sources[i] for i in order.tolist()],
+        per_sink=per_sink,
+        pairs=pairs,
+        features=candidates.features[rows],
+        span=candidates.span,
+        _net_of_source=[candidates._net_of_source[i] for i in order.tolist()],
+    )
+    return shuffled, np.asarray(costs)[rows]
+
+
+def test_swap_ties_are_broken_by_definition_not_order():
+    # Two sinks, two nets, four equal costs: (a-x, b-y) and (a-y, b-x)
+    # tie on every additive score.  Every candidate-row and source
+    # order must pick the same one.
+    candidates = _synthetic_candidates(
+        [7, 3],
+        [("x", False), ("y", False)],
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+    )
+    costs = np.ones(4)
+    expected = _match_nets(candidates, costs, 1).matched_net
+    assert sorted(expected) == ["x", "y"]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        shuffled, shuffled_costs = _permuted(candidates, costs, rng)
+        assert _match_nets(shuffled, shuffled_costs, 1).matched_net == expected
+
+
+@pytest.mark.parametrize("load_limit", [None, 2])
+def test_assignment_is_invariant_to_candidate_order(attacked_design, load_limit):
+    _, _, _, view = attacked_design
+    candidates = build_candidates(view, per_sink=8)
+    # Coarse costs (quarter-span buckets) make many sinks tie.
+    costs = np.round(candidates.features[:, 0] * 4) / 4
+    expected = flow_assignment(view, candidates, costs, load_limit)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        shuffled, shuffled_costs = _permuted(candidates, costs, rng)
+        assert (
+            flow_assignment(view, shuffled, shuffled_costs, load_limit)
+            == expected
+        )
+
+
+_ARC_DUMP = """
+import hashlib, json
+from repro.adversary import build_candidates
+from repro.adversary.netflow import canonical_arcs
+from repro.locking import AtpgLockConfig, atpg_lock
+from repro.phys import build_locked_layout
+from tests.conftest import build_random_circuit
+
+circuit = build_random_circuit(3, num_inputs=8, num_gates=80, num_outputs=4)
+locked, _ = atpg_lock(circuit, AtpgLockConfig(key_bits=8, seed=1, run_lec=False))
+view = build_locked_layout(locked, split_layer=4, seed=1).feol_view()
+candidates = build_candidates(view, per_sink=8)
+arcs = canonical_arcs(candidates, candidates.features[:, -1] * candidates.span)
+rows = [
+    [candidates.sinks[i].stub_id, arcs.nets[j], c]
+    for i, j, c in zip(arcs.sink, arcs.net, arcs.cost)
+]
+print(len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest())
+"""
+
+
+def test_canonical_costs_ignore_the_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _ARC_DUMP],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert int(digests[0].split()[0]) > 0
+    assert digests[0] == digests[1]
 
 
 # ----------------------------------------------------------------------

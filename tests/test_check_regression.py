@@ -29,12 +29,19 @@ def _sim_payload(speedup: float = 6.0, pps: float = 1e6) -> dict:
 
 
 def _attacks_payload(
-    cache_speedup: float = 100.0, cold: float = 2.0, cached: float = 0.02
+    cache_speedup: float = 100.0,
+    cold: float = 2.0,
+    cached: float = 0.02,
+    matcher_speedup: float = 150.0,
 ) -> dict:
     return {
         "cache_speedup": cache_speedup,
         "cold_wall_seconds": cold,
         "cached_wall_seconds": cached,
+        "matcher": {
+            "capacitated": {"speedup": matcher_speedup},
+            "unbounded": {"speedup": matcher_speedup * 2},
+        },
     }
 
 
@@ -78,6 +85,18 @@ def test_wall_clock_grace_spares_millisecond_baselines():
     failures = check_payload("BENCH_attacks", broken, baseline)
     assert any("cached_wall_seconds" in f for f in failures)
     assert any("cache_speedup" in f for f in failures)
+
+
+def test_matcher_speedup_collapse_fails():
+    failures = check_payload(
+        "BENCH_attacks",
+        _attacks_payload(matcher_speedup=1.0),
+        _attacks_payload(),
+    )
+    assert {f.split(":")[0] for f in failures} == {
+        "BENCH_attacks.matcher_speedup_capacitated",
+        "BENCH_attacks.matcher_speedup_unbounded",
+    }
 
 
 def test_every_committed_baseline_has_a_gate_and_parses():
