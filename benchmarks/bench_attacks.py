@@ -16,6 +16,11 @@ incremental solver, on the same canonical costs, with hint-3 load
 limits (capacitated) and without (unbounded).  Both must return the
 identical matching.
 
+The ``lock`` block times, on the same instance, a cold
+:func:`atpg_lock` (fresh circuit, LEC included) and
+:func:`rebuild_netlist` over the cell's rebuilds: one per scenario
+engine run plus one per post-processed result, in CPU seconds.
+
 Usage::
 
     python benchmarks/bench_attacks.py --quick     # CI smoke cell
@@ -40,6 +45,7 @@ from repro.adversary import build_candidates, get_engine  # noqa: E402
 from repro.adversary.engine import (  # noqa: E402
     DEFAULT_CANDIDATES_PER_SINK,
     DEFAULT_LOAD_LIMIT,
+    AttackContext,
 )
 from repro.adversary.evaluate import grid_verdict  # noqa: E402
 from repro.adversary.netflow import (  # noqa: E402
@@ -47,16 +53,25 @@ from repro.adversary.netflow import (  # noqa: E402
     incremental_ssp,
     reference_match,
 )
+from repro.attacks import rebuild_netlist  # noqa: E402
+from repro.attacks.postprocess import reconnect_key_gates_to_ties  # noqa: E402
+from repro.locking import atpg_lock  # noqa: E402
 from repro.runner import run_attack_campaign  # noqa: E402
 from repro.runner.profiles import attack_smoke_campaign  # noqa: E402
 from repro.runner.spec import AttackCampaignSpec  # noqa: E402
-from repro.runner.stages import cell_layout, locked_design  # noqa: E402
+from repro.runner.stages import (  # noqa: E402
+    cell_layout,
+    load_cell_circuit,
+    locked_design,
+)
 
 #: Key size of the matcher instance (the smoke grid runs k16).
 MATCHER_KEY_BITS = 32
 #: Incremental-solver repeats per mode (median reported): one solve
 #: takes milliseconds, the reference seconds.
 MATCHER_REPEATS = 5
+#: Cold-lock and rebuild repeats (median reported).
+LOCK_REPEATS = 3
 
 
 def quick_campaign() -> AttackCampaignSpec:
@@ -106,14 +121,19 @@ def _cpu_seconds(solve) -> tuple[float, object]:
     return time.process_time() - start, result
 
 
-def matcher_bench() -> dict:
-    """Reference vs incremental matcher CPU seconds per capacity mode."""
+def b14_instance():
+    """The b14 attack cells of the k32 smoke grid, its lock and FEOL view."""
     spec = replace(attack_smoke_campaign(), key_bits=(MATCHER_KEY_BITS,))
-    cell = next(
-        acell.cell for acell in spec.cells() if acell.cell.benchmark == "b14"
-    )
+    acells = [a for a in spec.cells() if a.cell.benchmark == "b14"]
+    cell = acells[0].cell
     design = locked_design(cell)
     view = cell_layout(cell, design=design).feol_view(cell.split_layer)
+    return acells, design, view
+
+
+def matcher_bench(acells, view) -> dict:
+    """Reference vs incremental matcher CPU seconds per capacity mode."""
+    cell = acells[0].cell
     candidates = build_candidates(view, per_sink=DEFAULT_CANDIDATES_PER_SINK)
     costs, _ = get_engine("netflow").costs(None, candidates)
     arcs = canonical_arcs(candidates, costs)
@@ -152,6 +172,59 @@ def matcher_bench() -> dict:
             f"incremental {incremental_s * 1e3:.1f}ms "
             f"({block[mode]['speedup']:.0f}x, identical matching)"
         )
+    return block
+
+
+def lock_bench(acells, design, view) -> dict:
+    """Cold lock-planning and netlist-rebuild CPU seconds on one cell."""
+    cell = acells[0].cell
+    lock_runs = []
+    for _ in range(LOCK_REPEATS):
+        core = load_cell_circuit(cell).combinational_core()
+        lock_runs.append(_cpu_seconds(lambda: atpg_lock(core, cell.lock_config())))
+    for _, (locked, _report) in lock_runs:
+        if locked.key_bits != design.locked.key_bits:
+            raise AssertionError("lock: a cold lock differs from the cell's")
+
+    rebuilds = []
+    for acell in acells:
+        scenario = acell.scenario
+        ctx = AttackContext(
+            view=view,
+            scenario=scenario,
+            seed=scenario.seed,
+            budget=scenario.budget,
+            locked=design.locked,
+            oracle=design.core if scenario.has_oracle else None,
+        )
+        raw = get_engine(scenario.engine).run(ctx)
+        rebuilds.append(raw)
+        if scenario.postprocess:
+            rebuilds.append(
+                reconnect_key_gates_to_ties(raw, seed=cell.postprocess_seed)
+            )
+
+    def rebuild_all():
+        return [
+            rebuild_netlist(r.view, r.assignment, f"{cell.benchmark}_bench")
+            for r in rebuilds
+        ]
+
+    rebuild_s = median(
+        _cpu_seconds(rebuild_all)[0] for _ in range(LOCK_REPEATS)
+    )
+    block = {
+        "instance": f"b14/M{cell.split_layer}/k{MATCHER_KEY_BITS} "
+        f"(scale {cell.scale})",
+        "key_bits": design.locked.key_length,
+        "atpg_lock_cpu_seconds": median(seconds for seconds, _ in lock_runs),
+        "rebuilds": len(rebuilds),
+        "rebuild_netlist_cpu_seconds": rebuild_s,
+    }
+    print(
+        f"lock: atpg_lock {block['atpg_lock_cpu_seconds']:.3f}s, "
+        f"rebuild_netlist {rebuild_s:.3f}s over {len(rebuilds)} rebuilds"
+    )
     return block
 
 
@@ -215,8 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         "cache_speedup": cold_seconds / max(warm_seconds, 1e-9),
         "cold_cache": asdict(cold.cache_stats()),
         "warm_cache": asdict(warm.cache_stats()),
-        "matcher": matcher_bench(),
     }
+    acells, design, view = b14_instance()
+    payload["matcher"] = matcher_bench(acells, view)
+    payload["lock"] = lock_bench(acells, design, view)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")
     print(

@@ -10,8 +10,12 @@ recorded a baseline, so the tolerances are deliberately asymmetric:
   divide out the machine and get the tight tolerance: a real algorithmic
   regression moves them on any machine;
 * **absolute metrics** (wall seconds, patterns/sec) get the loose
-  tolerance: they gate only order-of-magnitude collapses.
+  tolerance: they gate only order-of-magnitude collapses;
+* **security metrics** (percentage points) are held to a fixed bound
+  of their own, independent of the baseline.
 
+Every metric states its unit; an additive grace is given in that unit
+(the wall-clock grace exists for seconds only).
 Improvements never fail.  Usage::
 
     python benchmarks/check_regression.py BENCH_sim.json
@@ -45,16 +49,46 @@ ABSOLUTE_TOLERANCE = 0.80
 WALL_CLOCK_GRACE_SECONDS = 1.0
 
 
+#: The units a gated metric may carry: a ratio, seconds, a throughput
+#: (per second) or percentage points.
+UNITS = ("x", "s", "/s", "pp")
+
+
 @dataclass(frozen=True)
 class Metric:
-    """One gated scalar: where it lives and how it may move."""
+    """One gated scalar: where it lives, its unit and how it may move."""
 
     name: str
     extract: Callable[[dict[str, Any]], float]
+    unit: str
     #: ``higher`` — current may not fall more than tolerance below the
     #: baseline; ``lower`` — may not rise more than tolerance above it.
     direction: str = "higher"
     tolerance: float = RATIO_TOLERANCE
+    #: Additive slack on top of the relative band, in :attr:`unit`.
+    grace: float = 0.0
+    #: A fixed bound in :attr:`unit` that replaces the baseline band.
+    limit: float | None = None
+
+    def bound(self, baseline: float) -> float:
+        """The worst value the current payload may report."""
+        if self.limit is not None:
+            return self.limit
+        if self.direction == "higher":
+            return baseline * (1.0 - self.tolerance) - self.grace
+        return baseline * (1.0 + self.tolerance) + self.grace
+
+
+def _seconds(name: str, extract, grace: float = WALL_CLOCK_GRACE_SECONDS):
+    """A lower-is-better time: loose tolerance plus an additive grace."""
+    return Metric(
+        name,
+        extract,
+        unit="s",
+        direction="lower",
+        tolerance=ABSOLUTE_TOLERANCE,
+        grace=grace,
+    )
 
 
 def _sim_min_speedup(payload: dict[str, Any]) -> float:
@@ -75,6 +109,17 @@ def _sat_max_cps(payload: dict[str, Any]) -> float:
     )
 
 
+#: Fixed security bounds of the defense matrix, in percentage points:
+#: every defense lowers the attacker's effective regular recovery by at
+#: least this much, and the lifting family keeps protected-net CCR at
+#: most this far above Table III's zero.
+MIN_EFFECTIVE_DROP_PP = 3.0
+MAX_LIFTING_PROTECTED_CCR_PP = 1.5
+#: Grace of the lock-planning and rebuild CPU timings: sub-second
+#: single-process work, so far less than the wall-clock grace.
+CPU_GRACE_SECONDS = 0.25
+
+
 #: The gate per payload stem.  Ratio metrics carry the tight tolerance,
 #: absolute ones the loose tolerance (see the module docstring).
 GATES: dict[str, tuple[Metric, ...]] = {
@@ -82,89 +127,92 @@ GATES: dict[str, tuple[Metric, ...]] = {
         Metric(
             "largest_iscas85_speedup",
             lambda p: p["largest_iscas85"]["speedup"],
+            unit="x",
         ),
-        Metric("min_benchmark_speedup", _sim_min_speedup),
+        Metric("min_benchmark_speedup", _sim_min_speedup, unit="x"),
         Metric(
             "max_compiled_pps",
             _sim_max_pps,
+            unit="/s",
             tolerance=ABSOLUTE_TOLERANCE,
         ),
     ),
     "BENCH_attacks": (
-        Metric("cache_speedup", lambda p: p["cache_speedup"]),
-        Metric(
-            "cold_wall_seconds",
-            lambda p: p["cold_wall_seconds"],
-            direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
-        Metric(
-            "cached_wall_seconds",
-            lambda p: p["cached_wall_seconds"],
-            direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
+        Metric("cache_speedup", lambda p: p["cache_speedup"], unit="x"),
+        _seconds("cold_wall_seconds", lambda p: p["cold_wall_seconds"]),
+        _seconds("cached_wall_seconds", lambda p: p["cached_wall_seconds"]),
         # The netflow matcher alone: whole-graph reference vs the
         # incremental solver, CPU seconds on one instance.
         Metric(
             "matcher_speedup_capacitated",
             lambda p: p["matcher"]["capacitated"]["speedup"],
+            unit="x",
         ),
         Metric(
             "matcher_speedup_unbounded",
             lambda p: p["matcher"]["unbounded"]["speedup"],
+            unit="x",
+        ),
+        # Lock planning and netlist rebuild on the same instance, CPU
+        # seconds.
+        _seconds(
+            "lock_cpu_seconds",
+            lambda p: p["lock"]["atpg_lock_cpu_seconds"],
+            grace=CPU_GRACE_SECONDS,
+        ),
+        _seconds(
+            "rebuild_cpu_seconds",
+            lambda p: p["lock"]["rebuild_netlist_cpu_seconds"],
+            grace=CPU_GRACE_SECONDS,
         ),
     ),
     "BENCH_defenses": (
-        Metric("cache_speedup", lambda p: p["cache_speedup"]),
-        Metric(
-            "cold_wall_seconds",
-            lambda p: p["cold_wall_seconds"],
-            direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
+        Metric("cache_speedup", lambda p: p["cache_speedup"], unit="x"),
+        _seconds("cold_wall_seconds", lambda p: p["cold_wall_seconds"]),
         # arms-race strength: how far every defense pushes the
-        # attacker's effective recovery down (percentage points; must
-        # not collapse) and how close the lifting family keeps
-        # protected-net CCR to Table III's zero (must not creep up —
-        # the wall-clock grace doubles as the near-zero floor here).
-        Metric("min_effective_drop", lambda p: p["min_effective_drop"]),
+        # attacker's effective recovery down, and how close the lifting
+        # family keeps protected-net CCR to Table III's zero.
+        Metric(
+            "min_effective_drop",
+            lambda p: p["min_effective_drop"],
+            unit="pp",
+            limit=MIN_EFFECTIVE_DROP_PP,
+        ),
         Metric(
             "max_lifting_protected_ccr",
             lambda p: p["max_lifting_protected_ccr"],
+            unit="pp",
             direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
+            limit=MAX_LIFTING_PROTECTED_CCR_PP,
         ),
     ),
     "BENCH_campaign": (
-        Metric("fuse_speedup", lambda p: p["fuse_speedup"]),
-        Metric(
-            "fused_wall_seconds",
-            lambda p: p["fused_wall_seconds"],
-            direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
-        ),
+        Metric("fuse_speedup", lambda p: p["fuse_speedup"], unit="x"),
+        _seconds("fused_wall_seconds", lambda p: p["fused_wall_seconds"]),
         # Cross-group reuse on the pool path: affinity-routed bundles +
         # the worker-resident artifact tier vs the per-group shape.
-        Metric("group_reuse_speedup", lambda p: p["group_reuse_speedup"]),
         Metric(
-            "affinity_wall_seconds",
-            lambda p: p["affinity_wall_seconds"],
-            direction="lower",
-            tolerance=ABSOLUTE_TOLERANCE,
+            "group_reuse_speedup",
+            lambda p: p["group_reuse_speedup"],
+            unit="x",
+        ),
+        _seconds(
+            "affinity_wall_seconds", lambda p: p["affinity_wall_seconds"]
         ),
     ),
     "BENCH_layout": (
         Metric(
             "largest_profile_speedup",
             lambda p: p["largest_profile_speedup"],
+            unit="x",
         ),
-        Metric("min_profile_speedup", _layout_min_speedup),
+        Metric("min_profile_speedup", _layout_min_speedup, unit="x"),
         Metric(
             "max_layouts_per_second",
             lambda p: max(
                 x["layouts_per_second_compiled"] for x in p["profiles"]
             ),
+            unit="/s",
             tolerance=ABSOLUTE_TOLERANCE,
         ),
     ),
@@ -172,14 +220,17 @@ GATES: dict[str, tuple[Metric, ...]] = {
         Metric(
             "largest_profile_speedup",
             lambda p: p["largest_profile_speedup"],
+            unit="x",
         ),
         Metric(
             "min_profile_speedup",
             lambda p: min(x["speedup"] for x in p["profiles"]),
+            unit="x",
         ),
         Metric(
             "max_compiled_conflicts_per_second",
             _sat_max_cps,
+            unit="/s",
             tolerance=ABSOLUTE_TOLERANCE,
         ),
     ),
@@ -194,14 +245,13 @@ def check_payload(
     for metric in GATES[stem]:
         now = metric.extract(current)
         then = metric.extract(baseline)
+        bound = metric.bound(then)
         if metric.direction == "higher":
-            bound = then * (1.0 - metric.tolerance)
             bad = now < bound
-            allowed = f">= {bound:.4g}"
+            allowed = f">= {bound:.4g} {metric.unit}"
         else:
-            bound = then * (1.0 + metric.tolerance) + WALL_CLOCK_GRACE_SECONDS
             bad = now > bound
-            allowed = f"<= {bound:.4g}"
+            allowed = f"<= {bound:.4g} {metric.unit}"
         verdict = "FAIL" if bad else "ok"
         print(
             f"[bench-gate] {verdict:>4} {stem}.{metric.name}: "

@@ -142,42 +142,21 @@ def _break_cycles(circuit, patched_pins: set[tuple[str, int]]) -> int:
     randomized attack variants we break any residual cycle at one of the
     guessed pins (never at an FEOL-visible connection) — the functional
     damage stays on the attacker's side of the ledger.
+
+    One Kahn peel (repeatedly retire gates whose fanins are all retired;
+    sources and DFF outputs start retired) leaves the gates on or fed by
+    a cycle.  The lowest-named such gate with a patched pin driven from
+    inside that residue gets the pin tied off, which removes one
+    unretired edge, and the peel resumes.  A peel's residue does not
+    depend on retirement order, so every step sees the residue a fresh
+    peel of the edited netlist would leave; and since the residue and
+    the patched pins only shrink, a gate passed over never qualifies
+    again, so one ascending scan makes every choice.  Returns the number
+    of pins tied off.
     """
-    from repro.netlist.circuit import NetlistError
-    from repro.netlist.gate_types import GateType
+    from repro.netlist.gate_types import SOURCE_TYPES, GateType
 
-    broken = 0
-    while True:
-        try:
-            circuit.topological_order()
-            return broken
-        except NetlistError:
-            pass
-        cyclic = _nets_on_cycles(circuit)
-        rewired = False
-        for gate_name in sorted(cyclic):
-            gate = circuit.gates[gate_name]
-            for position, fin in enumerate(gate.fanin):
-                if (gate_name, position) in patched_pins and fin in cyclic:
-                    tie = circuit.fresh_name(f"{gate_name}_loopbrk")
-                    circuit.add(tie, GateType.TIELO)
-                    fanin = list(gate.fanin)
-                    fanin[position] = tie
-                    circuit.replace_gate(gate.with_fanin(fanin))
-                    patched_pins.discard((gate_name, position))
-                    broken += 1
-                    rewired = True
-                    break
-            if rewired:
-                break
-        if not rewired:  # pragma: no cover - cycle through visible edges
-            raise RuntimeError("unbreakable cycle in recovered netlist")
-
-
-def _nets_on_cycles(circuit) -> set[str]:
-    """Gates not removable by Kahn peeling = members/feeders of cycles."""
-    from repro.netlist.gate_types import SOURCE_TYPES
-
+    fanout = {net: list(readers) for net, readers in circuit.fanout_map().items()}
     indegree: dict[str, int] = {}
     ready: list[str] = []
     for gate in circuit.gates.values():
@@ -186,18 +165,51 @@ def _nets_on_cycles(circuit) -> set[str]:
             ready.append(gate.name)
         else:
             indegree[gate.name] = len(gate.fanin)
-    fanout = circuit.fanout_map()
-    cursor = 0
-    while cursor < len(ready):
-        name = ready[cursor]
-        cursor += 1
-        for reader in fanout[name]:
-            if circuit.gates[reader].is_dff:
-                continue
-            indegree[reader] -= 1
-            if indegree[reader] == 0:
-                ready.append(reader)
-    return {name for name, degree in indegree.items() if degree > 0}
+    dffs = {name for name in ready if circuit.gates[name].is_dff}
+
+    def peel() -> None:
+        while ready:
+            for reader in fanout[ready.pop()]:
+                if reader in dffs:
+                    continue  # a D pin is not a combinational edge
+                indegree[reader] -= 1
+                if indegree[reader] == 0:
+                    ready.append(reader)
+
+    peel()
+    broken = 0
+    for gate_name in sorted(n for n, degree in indegree.items() if degree):
+        while indegree[gate_name]:
+            gate = circuit.gates[gate_name]
+            position = next(
+                (
+                    position
+                    for position, fin in enumerate(gate.fanin)
+                    if (gate_name, position) in patched_pins
+                    and indegree[fin]
+                ),
+                None,
+            )
+            if position is None:
+                break
+            fin = gate.fanin[position]
+            tie = circuit.fresh_name(f"{gate_name}_loopbrk")
+            circuit.add(tie, GateType.TIELO)
+            fanin = list(gate.fanin)
+            fanin[position] = tie
+            circuit.replace_gate(gate.with_fanin(fanin))
+            patched_pins.discard((gate_name, position))
+            broken += 1
+            # the cut edge leaves the peel; the tie's edge is a source's,
+            # retired at once
+            fanout[fin].remove(gate_name)
+            indegree[gate_name] -= 1
+            if not indegree[gate_name]:
+                ready.append(gate_name)
+                peel()
+    if any(indegree.values()):  # pragma: no cover - cycle through visible edges
+        raise RuntimeError("unbreakable cycle in recovered netlist")
+    return broken
 
 
 def _nearest_source(view: FeolView, sink) -> str | None:

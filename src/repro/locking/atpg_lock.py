@@ -235,11 +235,17 @@ def _plan_faults(
 
     keyed: list[FaultPlan] = []
     free: list[FaultPlan] = []
+    # Sink modules depend on the fault net only: the stuck-at-0 and
+    # stuck-at-1 candidates of a net share them (and their compiled
+    # simulation programs).
+    modules_of: dict[str, list[FaultModule] | None] = {}
     for fault in candidates:
         report.candidates_examined += 1
-        modules = extract_sink_modules(
-            work, fault.net, config.max_support, config.max_sinks
-        )
+        if fault.net not in modules_of:
+            modules_of[fault.net] = extract_sink_modules(
+                work, fault.net, config.max_support, config.max_sinks
+            )
+        modules = modules_of[fault.net]
         if modules is None:
             continue
         patterns: list[FailingPatterns] = []

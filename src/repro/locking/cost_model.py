@@ -9,11 +9,17 @@ unprotected baseline, a fault is *profitable* when the area it removes
 exceeds the restore area it adds.  The flow ranks faults by cost per key
 bit so that the fixed key budget (128 bits) is spent where it buys the
 most area back.
+
+:func:`cascade_removed_area` is called for every candidate fault, so it
+reads the circuit's cached :class:`~repro.netlist.circuit.StructuralIndex`
+(topological positions, expandable nets) rather than rebuilding them;
+the index is dropped by any structural edit of the circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro.atpg.patterns import FailingPatterns
 from repro.netlist.cell_library import NANGATE45, CellLibrary
@@ -57,6 +63,7 @@ def cascade_removed_area(
     """
     lib = library or NANGATE45
     fanout = circuit.fanout_map()
+    index = circuit.structure()
     outputs = set(circuit.outputs)
 
     def gate_area(name: str) -> float:
@@ -70,27 +77,34 @@ def cascade_removed_area(
         candidate = stack.pop()
         if candidate in cone:
             continue
-        gate = circuit.gates[candidate]
-        if gate.is_input or gate.is_dff or gate.is_tie or candidate in outputs:
+        if candidate not in index.expandable or candidate in outputs:
             continue
         readers = fanout[candidate]
         if readers and all(r in cone for r in readers):
             cone.add(candidate)
-            stack.extend(gate.fanin)
+            stack.extend(circuit.gates[candidate].fanin)
 
-    # (b) constant cascade through the fanout
+    # (b) constant cascade through the fanout: only a gate reading a
+    # constant can fold, so the cascade visits the readers of each newly
+    # constant net, in topological order (DFF readers stop it).
     constant: dict[str, int] = {net: value}
-    order = {n: i for i, n in enumerate(circuit.topological_order())}
-    worklist = sorted(circuit.transitive_fanout([net]), key=order.__getitem__)
-    for name in worklist:
-        if name == net or name in constant:
-            continue
+    queued: set[str] = set()
+    heap: list[tuple[int, str]] = []
+
+    def enqueue_readers(name: str) -> None:
+        for reader in fanout[name]:
+            if reader in index.expandable and reader not in queued:
+                queued.add(reader)
+                heappush(heap, (index.position[reader], reader))
+
+    enqueue_readers(net)
+    while heap:
+        _, name = heappop(heap)
         gate = circuit.gates[name]
-        if gate.is_dff or gate.is_input or gate.is_tie:
-            continue
         folded = _fold_value(gate.gate_type, [constant.get(n) for n in gate.fanin])
         if folded is not None:
             constant[name] = folded
+            enqueue_readers(name)
 
     area = gate_area(net)
     area += sum(gate_area(n) for n in cone if n != net)

@@ -10,6 +10,15 @@ contains the fault site.  The module between the cut and the sinks is the
 unit on which the exact failing set is computed (see
 :mod:`repro.atpg.patterns`), and the cut nets are where the restore
 comparator taps.
+
+Every per-fault query reads the circuit's
+:class:`~repro.netlist.circuit.StructuralIndex` (``circuit.structure()``)
+instead of rescanning the netlist: sink sets decode from its sink-reach
+bitsets (memoized per net), cuts grow through its expandable-net set and
+modules list their gates by its topological positions.  The index is
+cached on the circuit like the topological order; any gate edit
+(``add_gate``/``replace_gate``/``remove_gate``, fault injection) or
+output re-listing drops it, and pickles never carry it.
 """
 
 from __future__ import annotations
@@ -34,18 +43,12 @@ def affected_sinks(circuit: Circuit, net: str) -> tuple[list[str], dict[str, lis
     """Sinks observed by a fault at *net*: PO nets and DFF data nets.
 
     Returns ``(sink_nets, aliases)`` where aliases maps a sink net to the
-    primary outputs listing it and the DFFs reading it as data.
+    primary outputs listing it and the DFFs reading it as data.  Decoded
+    from the circuit's sink-reach bitsets and memoized per net, so the
+    stuck-at-0 and stuck-at-1 faults of a net share one answer; treat the
+    result as read-only.
     """
-    reach = circuit.transitive_fanout([net])
-    aliases: dict[str, list[str]] = {}
-    for out in circuit.outputs:
-        if out in reach:
-            aliases.setdefault(out, []).append(f"PO:{out}")
-    for dff_name in circuit.dffs:
-        d_net = circuit.gates[dff_name].fanin[0]
-        if d_net in reach:
-            aliases.setdefault(d_net, []).append(f"DFF:{dff_name}")
-    return list(aliases), aliases
+    return circuit.structure().affected_sinks(net)
 
 
 def grow_cut(
@@ -66,6 +69,7 @@ def grow_cut(
     no feasible cut exists.
     """
     levels = circuit.levels()
+    expandable = circuit.structure().expandable
     if tainted is None:
         tainted = circuit.transitive_fanout([must_contain])
     interior: set[str] = set(sinks)
@@ -73,10 +77,6 @@ def grow_cut(
     for sink in sinks:
         frontier.update(circuit.gates[sink].fanin)
     frontier -= interior
-
-    def expandable(net: str) -> bool:
-        gate = circuit.gates[net]
-        return not (gate.is_input or gate.is_dff or gate.is_tie)
 
     guard = 0
     while True:
@@ -90,13 +90,13 @@ def grow_cut(
         elif len(frontier) <= max_support and must_contain in interior:
             return sorted(frontier)
         else:
-            candidates = [n for n in frontier if expandable(n)]
+            candidates = [n for n in frontier if n in expandable]
             if not candidates:
                 return None
             # expanding the deepest net tends to shrink the frontier
             # (reconvergence) and pulls the cut toward the inputs.
             target = max(candidates, key=lambda n: (levels[n], n))
-        if not expandable(target):
+        if target not in expandable:
             return None
         gate = circuit.gates[target]
         frontier.discard(target)
@@ -176,6 +176,7 @@ def _extract_between(
         module.add(net, GateType.INPUT)
     # include every gate on a path cut -> sinks: backward walk from sinks
     # stopping at cut nets.
+    index = circuit.structure()
     needed: list[str] = []
     seen: set[str] = set(cut_set)
     stack = list(sinks)
@@ -184,13 +185,11 @@ def _extract_between(
         if net in seen:
             continue
         seen.add(net)
-        gate = circuit.gates[net]
-        if gate.is_input or gate.is_dff or gate.is_tie:
+        if net not in index.expandable:
             return None  # a source leaked past the cut: infeasible
         needed.append(net)
-        stack.extend(n for n in gate.fanin if n not in seen)
-    order = {name: i for i, name in enumerate(circuit.topological_order())}
-    for net in sorted(needed, key=order.__getitem__):
+        stack.extend(n for n in circuit.gates[net].fanin if n not in seen)
+    for net in sorted(needed, key=index.position.__getitem__):
         gate = circuit.gates[net]
         module.add(net, gate.gate_type, gate.fanin)
     for sink in sinks:

@@ -105,6 +105,7 @@ class Circuit:
         self._fanout_cache: dict[str, tuple[str, ...]] | None = None
         self._topo_cache: list[str] | None = None
         self._levels_cache: dict[str, int] | None = None
+        self._index_cache: StructuralIndex | None = None
         self._compiled_cache: object | None = None
         for gate in gates:
             self.add_gate(gate)
@@ -135,6 +136,7 @@ class Circuit:
         if net in self.outputs:
             raise NetlistError(f"net {net!r} is already a primary output")
         self.outputs.append(net)
+        self._index_cache = None
 
     def replace_gate(self, gate: Gate) -> None:
         """Replace the driver of ``gate.name`` (which must already exist)."""
@@ -153,6 +155,7 @@ class Circuit:
     def rename_output(self, old: str, new: str) -> None:
         """Re-point a primary output from net *old* to net *new*."""
         self.outputs[self.outputs.index(old)] = new
+        self._index_cache = None
 
     def fresh_name(self, prefix: str) -> str:
         """Return a net name starting with *prefix* not yet used."""
@@ -167,6 +170,7 @@ class Circuit:
         self._fanout_cache = None
         self._topo_cache = None
         self._levels_cache = None
+        self._index_cache = None
         self._compiled_cache = None
 
     # ------------------------------------------------------------------
@@ -174,8 +178,9 @@ class Circuit:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict[str, object]:
         """Pickle only the structure; derived caches (topological order,
-        fanout, the compiled simulation program) are cheap to rebuild and
-        would otherwise bloat artifact-cache blobs and worker hand-offs."""
+        fanout, the structural index, the compiled simulation program) are
+        cheap to rebuild and would otherwise bloat artifact-cache blobs and
+        worker hand-offs."""
         return {"name": self.name, "gates": self.gates, "outputs": self.outputs}
 
     def __setstate__(self, state: dict[str, object]) -> None:
@@ -185,6 +190,7 @@ class Circuit:
         self._fanout_cache = None
         self._topo_cache = None
         self._levels_cache = None
+        self._index_cache = None
         self._compiled_cache = None
 
     # ------------------------------------------------------------------
@@ -372,33 +378,26 @@ class Circuit:
                 stack.append(reader)
         return seen
 
+    def structure(self) -> "StructuralIndex":
+        """The whole-netlist :class:`StructuralIndex` (cached).
+
+        Built once per structure and dropped, like the topological order,
+        by every gate edit and every change to the output listing.
+        """
+        if self._index_cache is None:
+            self._index_cache = StructuralIndex(self)
+        return self._index_cache
+
     def output_reach_counts(self) -> dict[str, int]:
-        """Map net -> number of primary outputs in its fanout cone.
+        """Map net -> number of primary-output listings in its fanout cone.
 
         Equivalent to ``sum(1 for o in outputs if o in
-        transitive_fanout([net]))`` for every net at once, but computed
-        in a single reverse pass over the topological order with one
-        output-membership bitset per net instead of one scalar cone walk
-        per net.  The :meth:`transitive_fanout` semantics are preserved
-        exactly: a net observes itself when it is an output, and a DFF
-        reader joins the cone without being traversed through (its Q
-        output belongs to the next cycle).
+        transitive_fanout([net]))`` for every net at once: the popcount
+        of the output bits of :attr:`StructuralIndex.sink_reach`.
         """
-        out_bit: dict[str, int] = {}
-        for net in self.outputs:
-            if net not in out_bit:
-                out_bit[net] = 1 << len(out_bit)
-        fanout = self.fanout_map()
-        mask: dict[str, int] = {}
-        for net in reversed(self.topological_order()):
-            bits = out_bit.get(net, 0)
-            for reader in fanout[net]:
-                if self.gates[reader].is_dff:
-                    bits |= out_bit.get(reader, 0)
-                else:
-                    bits |= mask[reader]
-            mask[net] = bits
-        return {net: bits.bit_count() for net, bits in mask.items()}
+        reach = self.structure().sink_reach
+        outputs = (1 << len(self.outputs)) - 1
+        return {net: (bits & outputs).bit_count() for net, bits in reach.items()}
 
     def support(self, nets: Iterable[str]) -> list[str]:
         """Source nets (INPUTs, TIEs, DFF outputs) feeding *nets*' cones."""
@@ -483,3 +482,75 @@ class Circuit:
             f"Circuit({self.name!r}, inputs={len(self.inputs)}, "
             f"outputs={len(self.outputs)}, gates={self.num_logic_gates()})"
         )
+
+
+#: Gate types a backward cut cannot expand through: sources and DFFs.
+_CUT_STOPS = frozenset({*SOURCE_TYPES, GateType.DFF})
+
+
+class StructuralIndex:
+    """Whole-netlist structure shared by every per-net query of one circuit.
+
+    Fault planning asks the same structural questions for hundreds of
+    candidate nets; the index answers them from three tables built in one
+    pass over the topological order (:meth:`Circuit.structure`):
+
+    * :attr:`sink_reach` — net -> bitset of the *sinks* a change on that
+      net can observe.  Bit ``i < len(outputs)`` is the ``i``-th primary
+      output listing; bit ``len(outputs) + j`` is the data pin of the
+      ``j``-th DFF (insertion order).  The set matches a
+      :meth:`Circuit.transitive_fanout` walk: a net observes itself, and a
+      DFF reader joins the cone without being traversed through.
+    * :attr:`position` — net -> index in :meth:`Circuit.topological_order`.
+    * :attr:`expandable` — nets driven by logic gates (not INPUT, TIE or
+      DFF), i.e. the nets a backward cut may grow through.
+    """
+
+    __slots__ = ("position", "expandable", "sink_reach", "_labels", "_sinks")
+
+    def __init__(self, circuit: Circuit) -> None:
+        order = circuit.topological_order()
+        gates = circuit.gates
+        self.position: dict[str, int] = {n: i for i, n in enumerate(order)}
+        self.expandable: frozenset[str] = frozenset(
+            n for n, g in gates.items() if g.gate_type not in _CUT_STOPS
+        )
+        dffs = [g for g in gates.values() if g.gate_type is GateType.DFF]
+        self._labels: list[tuple[str, str]] = [
+            (net, f"PO:{net}") for net in circuit.outputs
+        ] + [(g.fanin[0], f"DFF:{g.name}") for g in dffs]
+        own: dict[str, int] = {}
+        for bit, (net, _label) in enumerate(self._labels):
+            own[net] = own.get(net, 0) | (1 << bit)
+        dff_names = {g.name for g in dffs}
+        fanout = circuit.fanout_map()
+        reach: dict[str, int] = {}
+        for net in reversed(order):
+            bits = own.get(net, 0)
+            for reader in fanout[net]:
+                if reader in dff_names:
+                    bits |= own.get(reader, 0)
+                else:
+                    bits |= reach[reader]
+            reach[net] = bits
+        self.sink_reach: dict[str, int] = reach
+        self._sinks: dict[str, tuple[list[str], dict[str, list[str]]]] = {}
+
+    def affected_sinks(self, net: str) -> tuple[list[str], dict[str, list[str]]]:
+        """``(sink_nets, aliases)`` observed by *net* (memoized; read-only).
+
+        *aliases* maps each sink net to its labels — ``PO:<net>`` per
+        primary-output listing, then ``DFF:<name>`` per DFF reading it as
+        data — and *sink_nets* lists the sink nets in first-label order.
+        """
+        memo = self._sinks.get(net)
+        if memo is None:
+            aliases: dict[str, list[str]] = {}
+            bits = self.sink_reach[net]
+            while bits:
+                low = bits & -bits
+                sink, label = self._labels[low.bit_length() - 1]
+                aliases.setdefault(sink, []).append(label)
+                bits ^= low
+            memo = self._sinks[net] = (list(aliases), aliases)
+        return memo

@@ -12,7 +12,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from check_regression import (  # noqa: E402
     GATES,
+    MAX_LIFTING_PROTECTED_CCR_PP,
+    MIN_EFFECTIVE_DROP_PP,
     RATIO_TOLERANCE,
+    UNITS,
+    WALL_CLOCK_GRACE_SECONDS,
     check_payload,
     main,
 )
@@ -33,6 +37,8 @@ def _attacks_payload(
     cold: float = 2.0,
     cached: float = 0.02,
     matcher_speedup: float = 150.0,
+    lock: float = 0.3,
+    rebuild: float = 0.04,
 ) -> dict:
     return {
         "cache_speedup": cache_speedup,
@@ -42,6 +48,19 @@ def _attacks_payload(
             "capacitated": {"speedup": matcher_speedup},
             "unbounded": {"speedup": matcher_speedup * 2},
         },
+        "lock": {
+            "atpg_lock_cpu_seconds": lock,
+            "rebuild_netlist_cpu_seconds": rebuild,
+        },
+    }
+
+
+def _defenses_payload(drop: float = 4.9, lifting_ccr: float = 0.37) -> dict:
+    return {
+        "cache_speedup": 10.0,
+        "cold_wall_seconds": 6.7,
+        "min_effective_drop": drop,
+        "max_lifting_protected_ccr": lifting_ccr,
     }
 
 
@@ -99,6 +118,60 @@ def test_matcher_speedup_collapse_fails():
     }
 
 
+def test_lock_and_rebuild_slowdowns_fail():
+    baseline = _attacks_payload()
+    # the per-candidate rescans cost about 2x on the lock, 10x on rebuild
+    failures = check_payload(
+        "BENCH_attacks", _attacks_payload(lock=0.9, rebuild=0.4), baseline
+    )
+    assert {f.split(":")[0] for f in failures} == {
+        "BENCH_attacks.lock_cpu_seconds",
+        "BENCH_attacks.rebuild_cpu_seconds",
+    }
+
+
+def test_security_metrics_hold_fixed_point_bounds():
+    # today's bounds are never loosened
+    assert MIN_EFFECTIVE_DROP_PP >= 2.95
+    assert MAX_LIFTING_PROTECTED_CCR_PP <= 1.67
+    baseline = _defenses_payload()
+    assert check_payload("BENCH_defenses", baseline, baseline) == []
+    # inside the old relative/wall-clock bands (>= 2.95, <= 1.67), but
+    # past the fixed percentage-point bounds
+    failures = check_payload(
+        "BENCH_defenses", _defenses_payload(drop=2.96, lifting_ccr=1.6), baseline
+    )
+    assert {f.split(":")[0] for f in failures} == {
+        "BENCH_defenses.min_effective_drop",
+        "BENCH_defenses.max_lifting_protected_ccr",
+    }
+    # the bound does not move with the baseline
+    weak = _defenses_payload(drop=3.5, lifting_ccr=1.4)
+    assert check_payload("BENCH_defenses", weak, weak) == []
+    assert check_payload(
+        "BENCH_defenses", _defenses_payload(drop=2.99), weak
+    ) == ["BENCH_defenses.min_effective_drop: 2.99 vs 3.5"]
+
+
+def test_grace_only_for_seconds():
+    for stem, metrics in GATES.items():
+        for metric in metrics:
+            assert metric.unit in UNITS, (stem, metric.name)
+            if metric.unit != "s":
+                assert metric.grace == 0, (stem, metric.name)
+            if metric.limit is None:
+                continue
+            assert metric.unit == "pp", (stem, metric.name)
+    wall = {
+        m.name: m.grace
+        for m in GATES["BENCH_attacks"]
+        if m.name.endswith("wall_seconds")
+    }
+    assert wall == dict.fromkeys(
+        ("cold_wall_seconds", "cached_wall_seconds"), WALL_CLOCK_GRACE_SECONDS
+    )
+
+
 def test_every_committed_baseline_has_a_gate_and_parses():
     baseline_dir = Path(__file__).resolve().parent.parent / (
         "benchmarks/baselines"
@@ -142,3 +215,4 @@ def test_gate_metrics_are_well_formed(stem):
     for metric in GATES[stem]:
         assert metric.direction in ("higher", "lower")
         assert 0 < metric.tolerance < 1
+        assert metric.grace >= 0
