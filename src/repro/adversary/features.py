@@ -33,6 +33,7 @@ import numpy as np
 from repro.attacks.hints import proximity_score
 from repro.phys.geometry import (
     ALIGN_TOL_UM as _ALIGN_TOL_UM,
+    _cache_token,
     block_size_for,
     candidate_order,
     score_block,
@@ -184,7 +185,32 @@ def _pair_features(
 def build_candidates(
     view: FeolView, per_sink: int = 16, with_labels: bool = False
 ) -> CandidateSet:
-    """Assemble candidates + features (+ ground-truth labels) for *view*."""
+    """Assemble candidates + features (+ ground-truth labels) for *view*.
+
+    The result is memoized on the view, keyed by ``(_cache_token(view),
+    per_sink, with_labels)`` the way :func:`repro.phys.geometry.stub_arrays`
+    caches its arrays: sibling scenarios attacking one view (netflow,
+    learned, oracle-key) share a single build.  Any stub-list
+    reassignment or append (the defenses rebuild a view's stubs in
+    place) or different arguments rebuild it; the memo holds one entry
+    and ``FeolView.__getstate__`` drops it from pickles.  The shared set
+    is read-only: its arrays are flagged non-writeable.
+    """
+    key = (_cache_token(view), per_sink, with_labels)
+    cached = getattr(view, "_candidates", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    candidates = _assemble_candidates(view, per_sink, with_labels)
+    for array in (candidates.pairs, candidates.features, candidates.labels):
+        if array is not None:
+            array.flags.writeable = False
+    view._candidates = (key, candidates)
+    return candidates
+
+
+def _assemble_candidates(
+    view: FeolView, per_sink: int, with_labels: bool
+) -> CandidateSet:
     sinks, sources, per = candidate_sources(view, per_sink=per_sink)
     span = coordinate_span(view)
     arrays = stub_arrays(view)

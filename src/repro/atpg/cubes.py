@@ -6,6 +6,12 @@ patterns* (Fig. 4(b): ``x x 0 x 0`` etc.).  :func:`exact_cover` compresses
 a minterm set into a cube cover that equals the set exactly (no
 off-set minterm is covered), which is the property the restore circuitry
 needs: the comparator must fire on *all and only* the failing patterns.
+
+The cover works on *minterm bitmaps*: a set of minterms over ``n``
+variables is one Python int whose bit *m* is set when minterm *m* is in
+the set.  Dropping literal *i* of a cube is then a single shift-or of its
+bitmap by ``2**i``, and cube containment and cover gains are big-int
+``&``/``bit_count`` operations instead of per-minterm enumeration.
 """
 
 from __future__ import annotations
@@ -84,11 +90,22 @@ def exact_cover(
 ) -> list[Cube]:
     """Compress *minterms* into cubes covering exactly that set.
 
-    Uses Quine-McCluskey prime generation restricted to the on-set (the
-    off-set acts as a blocking set, so no prime ever covers an off-set
-    minterm) followed by a greedy unate cover.  Raises ``ValueError`` when
-    the on-set exceeds *max_minterms* (callers prefilter faults by failing
-    count, mirroring the paper's cost-driven fault selection).
+    Two steps, both on minterm bitmaps:
+
+    1. **Prime expansion.**  Each on-set minterm grows into a maximal
+       cube by trying to drop its literals in variable order; a drop is
+       kept when the doubled cube still lies inside the on-set (the
+       off-set acts as a blocking set, so no cube ever covers an off-set
+       minterm).  Growth stops as soon as a doubled cube would outnumber
+       the on-set, since no later drop can fit either.
+    2. **Greedy unate cover.**  Repeatedly take the prime covering the
+       most uncovered minterms; ties go to the first prime in
+       ``(care_count, mask, values)`` order, i.e. toward fewer care bits
+       (fewer key bits, smaller comparator).
+
+    Raises ``ValueError`` when the on-set exceeds *max_minterms* (callers
+    prefilter faults by failing count, mirroring the paper's cost-driven
+    fault selection).
     """
     if not minterms:
         return []
@@ -96,52 +113,55 @@ def exact_cover(
         raise ValueError(
             f"on-set of {len(minterms)} minterms exceeds limit {max_minterms}"
         )
-    on_set = set(minterms)
+    onset = 0
+    for minterm in minterms:
+        onset |= 1 << minterm
+    limit = onset.bit_count()
     full_mask = (1 << num_vars) - 1
 
-    # Grow each minterm into a maximal cube by greedily dropping literals
-    # (prime generation by expansion — equivalent result to classic QM
-    # merging for exactness purposes, far cheaper on sparse on-sets).
-    primes: set[Cube] = set()
-    for minterm in on_set:
+    primes: dict[Cube, int] = {}
+    for minterm in minterms:
         mask = full_mask
-        values = minterm
+        members = 1 << minterm
+        size = 1
         for index in range(num_vars):
-            bit = 1 << index
-            candidate_mask = mask & ~bit
-            candidate = Cube(candidate_mask, values & candidate_mask)
-            if _cube_inside(candidate, on_set, num_vars):
-                mask = candidate_mask
-                values = values & candidate_mask
-        primes.add(Cube(mask, values))
+            if 2 * size > limit:
+                break
+            # Dropping literal `index` adds every member's partner with
+            # that bit flipped: 2**index lower when the cube fixes it
+            # to 1, higher when it fixes it to 0.
+            shift = 1 << index
+            if minterm >> index & 1:
+                grown = members | (members >> shift)
+            else:
+                grown = members | (members << shift)
+            if grown & ~onset == 0:
+                mask &= ~(1 << index)
+                members = grown
+                size *= 2
+        primes[Cube(mask, minterm & mask)] = members
 
-    # Greedy unate covering: repeatedly take the cube covering the most
-    # uncovered minterms; ties broken toward fewer care bits (fewer key
-    # bits, smaller comparator).
-    uncovered = set(on_set)
+    uncovered = onset
     cover: list[Cube] = []
-    prime_list = sorted(primes, key=lambda c: (c.care_count(), c.mask, c.values))
+    prime_list = sorted(
+        primes.items(),
+        key=lambda item: (item[0].care_count(), item[0].mask, item[0].values),
+    )
     while uncovered:
         best = None
+        best_bits = 0
         best_gain = -1
-        for cube in prime_list:
-            gain = sum(1 for m in expand_cube(cube, num_vars) if m in uncovered)
+        for cube, bits in prime_list:
+            gain = (bits & uncovered).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best = cube
+                best_bits = bits
         if best is None or best_gain <= 0:  # pragma: no cover - defensive
             raise RuntimeError("covering failed to progress")
         cover.append(best)
-        uncovered.difference_update(expand_cube(best, num_vars))
+        uncovered &= ~best_bits
     return cover
-
-
-def _cube_inside(cube: Cube, on_set: set[int], num_vars: int) -> bool:
-    """True when every minterm of *cube* belongs to *on_set*."""
-    size = cube.num_minterms(num_vars)
-    if size > len(on_set):
-        return False
-    return all(m in on_set for m in expand_cube(cube, num_vars))
 
 
 def cover_care_bits(cover: Sequence[Cube]) -> int:

@@ -118,8 +118,10 @@ def _cache_token(view: "FeolView") -> tuple:
     """Cheap mutation fingerprint of a view's stub lists.
 
     The defenses (routing perturbation, wire lifting) rebuild or
-    reassign the stub lists of an existing view; the cached arrays must
-    not survive that.  ``FeolView.__setattr__`` bumps a version
+    reassign the stub lists of an existing view; the cached arrays (and
+    the candidate set memoized by
+    :func:`repro.adversary.features.build_candidates`) must not survive
+    that.  ``FeolView.__setattr__`` bumps a version
     counter on every stub-list reassignment, and the lengths catch
     in-place appends — deterministic invalidation, no reliance on
     object identity (which the allocator can recycle).  In-place

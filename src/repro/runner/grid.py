@@ -54,6 +54,7 @@ win under the ``BENCH_campaign`` regression gate.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.metrics.hd_oer import shared_reference_sweeps
+from repro.phys.split import FeolView
 from repro.runner.engine import (
     AttackCellResult,
     CampaignExecutor,
@@ -292,6 +294,13 @@ def _run_group(
     results: list[CellResult | AttackCellResult] = []
     layout = None
     defended = None
+
+    @functools.cache
+    def undefended_view() -> FeolView:
+        # Split on the first undefended attack that misses the cache;
+        # its siblings then attack (and memoize candidates on) one view.
+        return layout.feol_view(_base_cell(cells[0]).split_layer)
+
     with shared_reference_sweeps():
         for cell in cells:
             base = _base_cell(cell)
@@ -327,6 +336,7 @@ def _run_group(
                         defended=(
                             defended if cell.defense is not None else None
                         ),
+                        view=undefended_view,
                     )
                     results.append(
                         AttackCellResult(

@@ -32,7 +32,7 @@ the hook is an exact passthrough.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.adversary.evaluate import AttackOutcome, run_scenario
 from repro.benchgen import load_iscas85, load_itc99, profile
@@ -50,6 +50,7 @@ from repro.phys.layout import (
     build_locked_layout,
     build_unprotected_layout,
 )
+from repro.phys.split import FeolView
 from repro.runner.spec import AttackCellSpec, CellSpec, parse_benchmark
 from repro.runner.worker import worker_tier
 from repro.utils.artifact_cache import ArtifactCache, get_or_create
@@ -325,13 +326,17 @@ def cell_attack(
     design: LockedDesign | None = None,
     layout: PhysicalLayout | None = None,
     defended: DefendedView | None = None,
+    view: Callable[[], FeolView] | None = None,
 ) -> AttackOutcome:
     """Attack stage: one adversary scenario on the cell's split layout.
 
     Builds on the same cached lock/layout artifacts as the classic
     ``run`` stage (plus the cached defense stage for defended cells), so
     a scenario sweep over an existing grid only pays for the attacks
-    themselves.
+    themselves.  *view*, when given, returns the undefended FEOL view
+    of *layout* at the cell's split layer, shared by sibling scenarios;
+    it is called only on a cache miss, so warm cells never split the
+    layout (defended cells ignore it and attack ``defended.view``).
     """
     cell = acell.cell
 
@@ -356,14 +361,16 @@ def cell_attack(
                 design=local_design,
                 layout=local_layout,
             )
-            view = local_defended.view
+            attacked = local_defended.view
             protected = local_defended.protected_nets
             defense_info = local_defended.summary()
         else:
-            view = local_layout.feol_view(cell.split_layer)
+            attacked = (
+                view() if view else local_layout.feol_view(cell.split_layer)
+            )
         return run_scenario(
             acell.scenario,
-            view,
+            attacked,
             local_design.locked,
             local_design.core,
             benchmark=cell.benchmark,

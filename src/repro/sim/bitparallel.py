@@ -21,6 +21,7 @@ forces either engine.  Both produce bit-identical words.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Mapping, Sequence
 
@@ -101,21 +102,32 @@ def exhaustive_words(inputs: Sequence[str]) -> tuple[dict[str, int], int]:
 
     Lane *p* carries the assignment whose bit *i* (LSB = ``inputs[0]``)
     equals ``(p >> i) & 1`` — the classic periodic-pattern construction.
-    Returns ``(words, num_patterns)``.
+    Returns ``(words, num_patterns)``; the words dict is fresh per call,
+    the columns behind it are shared per width.
     """
     n = len(inputs)
+    return dict(zip(inputs, _exhaustive_columns(n))), 1 << n
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_columns(n: int) -> tuple[int, ...]:
+    """The *n* periodic words of :func:`exhaustive_words`, by doubling.
+
+    Column *i* repeats ``period = 2**i`` zeros then ``period`` ones;
+    one period is written directly and then doubled until it spans all
+    ``2**n`` lanes.
+    """
     num_patterns = 1 << n
-    words: dict[str, int] = {}
-    for index, net in enumerate(inputs):
+    columns = []
+    for index in range(n):
         period = 1 << index
-        block = (1 << period) - 1  # `period` ones
-        word = 0
-        stride = period * 2
-        ones_positions = range(period, num_patterns, stride)
-        for start in ones_positions:
-            word |= block << start
-        words[net] = word
-    return words, num_patterns
+        word = ((1 << period) - 1) << period
+        width = 2 * period
+        while width < num_patterns:
+            word |= word << width
+            width *= 2
+        columns.append(word)
+    return tuple(columns)
 
 
 def random_words(

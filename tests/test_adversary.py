@@ -135,6 +135,48 @@ def test_labels_mark_true_pairs(attacked_design):
         assert candidates.source_net(int(candidates.pairs[row, 1])) == sink.net
 
 
+def test_candidate_set_is_memoized_on_the_view(attacked_design):
+    _, _, layout, _ = attacked_design
+    view = layout.feol_view()
+    first = build_candidates(view, per_sink=8)
+    assert build_candidates(view, per_sink=8) is first
+    assert not first.features.flags.writeable
+    assert not first.pairs.flags.writeable
+    # Other arguments rebuild (and take over the one-entry memo).
+    other = build_candidates(view, per_sink=4)
+    assert other is not first and other.num_pairs < first.num_pairs
+    labeled = build_candidates(view, per_sink=4, with_labels=True)
+    assert labeled is not other and labeled.labels is not None
+    assert build_candidates(view, per_sink=4, with_labels=True) is labeled
+
+
+def test_candidate_memo_follows_stub_reassignment(attacked_design):
+    """A defense-style ``sink_stubs`` reassignment forces a rebuild,
+    even to an equal-length list."""
+    _, _, layout, _ = attacked_design
+    view = layout.feol_view()
+    before = build_candidates(view, per_sink=8)
+    view.sink_stubs = list(reversed(view.sink_stubs))
+    after = build_candidates(view, per_sink=8)
+    assert after is not before
+    assert after.sinks == view.sink_stubs
+    assert build_candidates(view, per_sink=8) is after
+
+
+def test_pickled_view_carries_no_candidate_memo(attacked_design):
+    _, _, layout, _ = attacked_design
+    view = layout.feol_view()
+    bare = len(pickle.dumps(view))
+    candidates = build_candidates(view, per_sink=8)
+    assert "_candidates" in vars(view)
+    assert len(pickle.dumps(view)) == bare
+    clone = pickle.loads(pickle.dumps(view))
+    assert "_candidates" not in vars(clone)
+    rebuilt = build_candidates(clone, per_sink=8)
+    assert np.array_equal(rebuilt.pairs, candidates.pairs)
+    assert np.array_equal(rebuilt.features, candidates.features)
+
+
 # ----------------------------------------------------------------------
 # Min-cost flow matcher
 # ----------------------------------------------------------------------

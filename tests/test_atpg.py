@@ -23,6 +23,7 @@ from repro.atpg import (
     internal_faults,
     verify_cover_exactness,
 )
+from repro.atpg.cubes import expand_cube
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.sim.bitparallel import exhaustive_words, random_words
@@ -167,6 +168,102 @@ def test_exact_cover_is_exact(minterms):
     """Property: exact_cover reproduces precisely the given minterm set."""
     cover = exact_cover(minterms, 6)
     assert cover_minterms(cover, 6) == minterms
+
+
+def _reference_exact_cover(minterms: set[int], num_vars: int) -> list[Cube]:
+    """The literal-dropping cover with per-minterm containment checks.
+
+    Kept as the differential oracle of the bitmap :func:`exact_cover`:
+    each minterm grows by dropping literals in variable order while the
+    enumerated cube stays inside the on-set, then a greedy cover takes
+    the prime with the most uncovered minterms (first in ``(care_count,
+    mask, values)`` order on ties).
+    """
+    if not minterms:
+        return []
+    on_set = set(minterms)
+    full_mask = (1 << num_vars) - 1
+
+    def inside(cube: Cube) -> bool:
+        if cube.num_minterms(num_vars) > len(on_set):
+            return False
+        return all(m in on_set for m in expand_cube(cube, num_vars))
+
+    primes: set[Cube] = set()
+    for minterm in on_set:
+        mask = full_mask
+        values = minterm
+        for index in range(num_vars):
+            candidate_mask = mask & ~(1 << index)
+            if inside(Cube(candidate_mask, values & candidate_mask)):
+                mask = candidate_mask
+                values = values & candidate_mask
+        primes.add(Cube(mask, values))
+    uncovered = set(on_set)
+    cover: list[Cube] = []
+    prime_list = sorted(primes, key=lambda c: (c.care_count(), c.mask, c.values))
+    while uncovered:
+        best = None
+        best_gain = -1
+        for cube in prime_list:
+            gain = sum(1 for m in expand_cube(cube, num_vars) if m in uncovered)
+            if gain > best_gain:
+                best_gain = gain
+                best = cube
+        cover.append(best)
+        uncovered.difference_update(expand_cube(best, num_vars))
+    return cover
+
+
+@st.composite
+def _on_sets(draw):
+    """``(num_vars, on_set)``: random minterms, or unions of random
+    cubes plus noise minterms (multi-prime ties, early growth stops)."""
+    num_vars = draw(st.integers(1, 12))
+    universe = 1 << num_vars
+    limit = min(256, universe)
+    if draw(st.booleans()):
+        return num_vars, draw(
+            st.sets(st.integers(0, universe - 1), max_size=limit)
+        )
+    full = universe - 1
+    minterms: set[int] = set()
+    for _ in range(draw(st.integers(1, 4))):
+        mask = draw(st.integers(0, full))
+        free = num_vars - mask.bit_count()
+        if 1 << free > limit:
+            continue
+        values = draw(st.integers(0, full)) & mask
+        minterms.update(expand_cube(Cube(mask, values), num_vars))
+    noise = draw(st.sets(st.integers(0, full), max_size=8))
+    minterms.update(noise)
+    while len(minterms) > limit:
+        minterms.remove(max(minterms))
+    return num_vars, minterms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_on_sets())
+def test_exact_cover_matches_reference(case):
+    """The bitmap cover returns the oracle's cube list, order included."""
+    num_vars, minterms = case
+    cover = exact_cover(minterms, num_vars)
+    assert cover == _reference_exact_cover(minterms, num_vars)
+    assert cover_minterms(cover, num_vars) == minterms
+
+
+def test_exact_cover_matches_reference_on_ties():
+    """Pinned cases: two equal primes (strict-``>`` tie rule) and a
+    half-full on-set whose growth stops on the size bound."""
+    for num_vars, minterms in (
+        (3, {0b000, 0b001, 0b011, 0b111}),
+        (4, {0, 1, 2, 3, 4, 5, 6, 7}),
+        (4, {0, 1, 2, 3, 4, 5, 6, 8}),
+        (5, set(range(16)) | {16, 31}),
+    ):
+        assert exact_cover(minterms, num_vars) == _reference_exact_cover(
+            minterms, num_vars
+        )
 
 
 def test_exact_cover_compresses():

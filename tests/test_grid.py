@@ -136,6 +136,41 @@ def test_fused_attacks_bit_identical():
     assert list(fused.outcomes()) == list(unfused.outcomes())
 
 
+def test_fused_group_shares_one_view_and_candidate_set(monkeypatch, tmp_path):
+    """An undefended sibling group splits its layout once, the two
+    matcher scenarios share one candidate build on that view, and a
+    warm group (every attack a cache hit) never splits at all."""
+    from repro.adversary import features
+    from repro.adversary.learned import default_train_config, trained_scorer
+    from repro.phys.layout import PhysicalLayout
+
+    trained_scorer(default_train_config())  # training views stay uncounted
+    spec = replace(ATTACKS, scenarios=("netflow", "learned", "random"))
+    counts = {"views": 0, "builds": 0}
+    feol_view = PhysicalLayout.feol_view
+    assemble = features._assemble_candidates
+
+    def counting_view(self, *args, **kwargs):
+        counts["views"] += 1
+        return feol_view(self, *args, **kwargs)
+
+    def counting_assemble(*args, **kwargs):
+        counts["builds"] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(PhysicalLayout, "feol_view", counting_view)
+    monkeypatch.setattr(features, "_assemble_candidates", counting_assemble)
+    unfused = run_attack_campaign(spec, workers=1, use_cache=False, fuse=False)
+    assert counts == {"views": 3, "builds": 2}
+    for expected in ({"views": 1, "builds": 1}, {"views": 0, "builds": 0}):
+        counts.update(views=0, builds=0)
+        fused = run_attack_campaign(
+            spec, workers=1, cache_dir=tmp_path, fuse=True
+        )
+        assert counts == expected
+        assert _canon(fused) == _canon(unfused)
+
+
 def test_fused_empty_grid():
     assert run_fused_cells([], workers=1, use_cache=False) == []
 

@@ -85,6 +85,44 @@ def test_exhaustive_words_enumerate_all():
     assert len(seen) == 8
 
 
+def _reference_exhaustive_words(inputs):
+    """The periodic-block construction, one block per period."""
+    num_patterns = 1 << len(inputs)
+    words = {}
+    for index, net in enumerate(inputs):
+        period = 1 << index
+        block = (1 << period) - 1
+        word = 0
+        for start in range(period, num_patterns, period * 2):
+            word |= block << start
+        words[net] = word
+    return words, num_patterns
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_exhaustive_words_match_periodic_construction(n):
+    inputs = [f"i{index}" for index in range(n)]
+    words, lanes = exhaustive_words(inputs)
+    assert (words, lanes) == _reference_exhaustive_words(inputs)
+    assert list(words) == inputs
+
+
+def test_exhaustive_words_returns_fresh_dicts():
+    """Columns are cached per width; mutating one result must not leak
+    into the next call of the same width (or other input names)."""
+    first, _ = exhaustive_words(["a", "b", "c"])
+    second, _ = exhaustive_words(["a", "b", "c"])
+    assert first is not second
+    first["a"] = 0
+    first["d"] = 1
+    assert exhaustive_words(["a", "b", "c"])[0] == second
+    assert exhaustive_words(["x", "y", "z"])[0] == {
+        "x": second["a"],
+        "y": second["b"],
+        "z": second["c"],
+    }
+
+
 def test_pack_unpack_roundtrip():
     patterns = [[0, 1], [1, 1], [1, 0]]
     words = pack_patterns(patterns, ["x", "y"])
