@@ -13,11 +13,12 @@ so the ratios are purely the optimisation under test:
 2. **Cross-group reuse** — a multi-lock, multi-group grid (several
    locks, several layout variants per lock, several seed members per
    layout) on the **pool** path, run once per-group with the worker
-   runtime disabled (the pre-runtime shape: every task re-derives its
-   lock) and once affinity-routed with the runtime on (one lock-key
-   bundle per task; the worker resolves each lock once and its
-   resident tier serves repeats).  Emits ``group_reuse_speedup`` plus
-   the worker-cache counters of the warm pass.
+   runtime disabled (one single-group :func:`execute_bundle` task per
+   sibling group: every task re-derives its lock) and once through
+   :func:`run_fused_cells` with the runtime on (one lock-key bundle per
+   task; the worker resolves each lock once and its resident tier
+   serves repeats).  Emits ``group_reuse_speedup`` plus the
+   worker-cache counters of the warm pass.
 
 Every pass must be **bit-identical** (canonical JSON equal, wall-clock
 keys stripped) — the benchmark doubles as a differential test.  Emits
@@ -45,7 +46,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.runner import run_campaign  # noqa: E402
-from repro.runner.grid import plan_campaign, run_fused_cells  # noqa: E402
+from repro.runner.engine import CampaignExecutor  # noqa: E402
+from repro.runner.grid import (  # noqa: E402
+    execute_bundle,
+    plan_campaign,
+    run_fused_cells,
+)
 from repro.runner.serialize import canonical_json, result_record  # noqa: E402
 from repro.runner.spec import CellSpec  # noqa: E402
 from repro.utils.artifact_cache import CacheStats  # noqa: E402
@@ -77,8 +83,8 @@ def multi_lock_grid(
     Each benchmark seed is a distinct lock; each utilization variant a
     distinct layout (sibling group) under it; each hd_seed a group
     member.  This is the shape cross-group reuse targets: many groups
-    per lock, so the per-group path re-derives each lock ``layouts``
-    times while the affinity path resolves it once.
+    per lock, so the per-group baseline re-derives each lock ``layouts``
+    times while lock bundles resolve it once.
     """
     return [
         replace(
@@ -99,14 +105,36 @@ def run_once(cells: list[CellSpec], fuse: bool):
     return result, time.perf_counter() - start
 
 
-def run_pool(cells: list[CellSpec], affinity: bool, worker_cache_mb: int):
+def per_group_pool(cells: list[CellSpec]) -> list:
+    """The per-group baseline: one single-group bundle task per sibling
+    group on a cacheless pool, results scattered back to input order."""
+    plan = plan_campaign(cells)
+    ordered = {}
+    with CampaignExecutor(POOL_WORKERS, use_cache=False) as executor:
+        futures = [
+            executor.submit(
+                execute_bundle,
+                [plan.group_cells(group)],
+                lock_keys=[group.lock_key],
+            )
+            for group in plan.groups
+        ]
+        for group, future in zip(plan.groups, futures):
+            (results,) = future.result()
+            ordered.update(zip(group.indices, results))
+    return [ordered[i] for i in range(len(cells))]
+
+
+def bundled_pool(cells: list[CellSpec]) -> list:
+    return run_fused_cells(cells, workers=POOL_WORKERS, use_cache=False)
+
+
+def run_pool(pass_fn, cells: list[CellSpec], worker_cache_mb: int):
     """One cacheless pool pass; returns (results, seconds, merged stats)."""
     os.environ["REPRO_WORKER_CACHE_MB"] = str(worker_cache_mb)
     try:
         start = time.perf_counter()
-        results = run_fused_cells(
-            cells, workers=POOL_WORKERS, use_cache=False, affinity=affinity
-        )
+        results = pass_fn(cells)
         seconds = time.perf_counter() - start
     finally:
         os.environ.pop("REPRO_WORKER_CACHE_MB", None)
@@ -165,16 +193,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\npool plan: {pool_plan.describe()}")
 
     per_group, per_group_seconds, _ = run_pool(
-        pool_cells, affinity=False, worker_cache_mb=0
+        per_group_pool, pool_cells, worker_cache_mb=0
     )
     warm, warm_seconds, warm_stats = run_pool(
-        pool_cells, affinity=True, worker_cache_mb=256
+        bundled_pool, pool_cells, worker_cache_mb=256
     )
-    verify(per_group, warm, "affinity-routed campaign")
+    verify(per_group, warm, "lock-bundled campaign")
 
     reuse_speedup = per_group_seconds / max(warm_seconds, 1e-9)
     print(
-        f"per-group pool {per_group_seconds:.2f}s -> affinity+runtime "
+        f"per-group pool {per_group_seconds:.2f}s -> lock bundles+runtime "
         f"{warm_seconds:.2f}s ({reuse_speedup:.1f}x, bit-identical)"
     )
     print(

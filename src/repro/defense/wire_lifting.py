@@ -46,11 +46,12 @@ def select_protected_nets(
 ) -> list[str]:
     """Pick lifting candidates the way [12] prioritises.
 
-    Identical scoring to the legacy ``defenses.wire_lifting``
-    implementation — functionally central, high-fanout, long nets first
-    — but skipping the paper's own key-nets (already lifted by the
-    locked flow) and computed from one reverse-reachability pass instead
-    of per-net cone walks.  Returns nets in selection (score) order.
+    Functionally central, high-fanout, long nets first, skipping the
+    paper's own key-nets (already lifted by the locked flow), computed
+    from one reverse-reachability pass instead of per-net cone walks.
+    Returns nets in selection (score) order.  The legacy Table III
+    helpers (:mod:`repro.defenses`) select through this function too:
+    their unprotected layouts carry no key-nets.
     """
     reach = circuit.output_reach_counts()
     scored = []

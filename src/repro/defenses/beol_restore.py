@@ -11,13 +11,10 @@ Table III, CCR stays ~0 and the recovered netlist's HD stays high.
 
 from __future__ import annotations
 
+from repro.defense.wire_lifting import select_protected_nets
 from repro.defenses.base import DefenseOutcome, base_layout, evaluate_defense
+from repro.defenses.wire_lifting import LIFT_FRACTION, scatter_stubs
 from repro.metrics.hd_oer import DEFAULT_HD_PATTERNS
-from repro.defenses.wire_lifting import (
-    LIFT_FRACTION,
-    scatter_stubs,
-    select_lift_nets,
-)
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import INVERTED_DUAL
 from repro.phys.split import split_layout
@@ -38,7 +35,7 @@ def apply_beol_restore(
     rng = rng_for(seed, "beol-restore", circuit.name)
     layout = base_layout(circuit, seed)
     routing = layout.routing
-    chosen = select_lift_nets(circuit, routing, fraction, rng)
+    chosen = set(select_protected_nets(circuit, routing, fraction))
     for net in chosen:
         routed = routing.nets[net]
         routed.is_key_net = True

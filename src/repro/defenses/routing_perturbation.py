@@ -10,8 +10,7 @@ recovers ~73% of the perturbed connections and ~88% of the netlist.
 
 from __future__ import annotations
 
-import random
-
+from repro.defense.routing_perturbation import jog_stubs
 from repro.defenses.base import DefenseOutcome, base_layout, evaluate_defense
 from repro.metrics.hd_oer import DEFAULT_HD_PATTERNS
 from repro.netlist.circuit import Circuit
@@ -54,51 +53,8 @@ def apply_routing_perturbation(
         routed.detour_factor = max(routed.detour_factor, 1.0 + rng.uniform(0.05, 0.2))
 
     view = split_layout(layout.circuit, routing, split_layer)
-    view = _jog_stubs(view, chosen, rng)
+    jog_stubs(view, chosen, rng, MAX_JOG_UM, MAX_CROSS_JOG_UM)
     return view, chosen
-
-
-def _jog_stubs(view, chosen: set[str], rng: random.Random):
-    """Re-seat perturbed stubs the way a routing detour leaves them.
-
-    A detour changes the wiring path but the FEOL portion still carries
-    the signal most of the way to its destination: the defense only jogs
-    the final hop through the BEOL.  Each perturbed source branch is
-    therefore re-seated within a small jog of its sink — the residual
-    signal that lets the attack recover most perturbed connections
-    (Table III's 73% CCR for [22]).
-    """
-    from repro.phys.split import SourceStub
-
-    # pair source branches with their sinks per net, in emission order
-    sinks_of: dict[str, list] = {}
-    for stub in view.sink_stubs:
-        if stub.net in chosen:
-            sinks_of.setdefault(stub.net, []).append(stub)
-    branch_index: dict[str, int] = {}
-    new_sources = []
-    for stub in view.source_stubs:
-        if stub.net not in chosen or stub.net not in sinks_of:
-            new_sources.append(stub)
-            continue
-        index = branch_index.get(stub.net, 0)
-        branch_index[stub.net] = index + 1
-        partners = sinks_of[stub.net]
-        partner = partners[min(index, len(partners) - 1)]
-        new_sources.append(
-            SourceStub(
-                stub.stub_id,
-                stub.owner,
-                stub.net,
-                partner.x + rng.uniform(-MAX_JOG_UM, MAX_JOG_UM),
-                partner.y + rng.uniform(-MAX_CROSS_JOG_UM, MAX_CROSS_JOG_UM),
-                stub.is_tie,
-                stub.tie_value,
-                stub.trunk_axis,
-            )
-        )
-    view.source_stubs = new_sources
-    return view
 
 
 def evaluate_routing_perturbation(

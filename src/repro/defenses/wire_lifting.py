@@ -12,6 +12,7 @@ which protects with far fewer lifted nets).
 
 from __future__ import annotations
 
+from repro.defense.wire_lifting import select_protected_nets
 from repro.defenses.base import DefenseOutcome, base_layout, evaluate_defense
 from repro.metrics.hd_oer import DEFAULT_HD_PATTERNS
 from repro.netlist.circuit import Circuit
@@ -20,30 +21,6 @@ from repro.utils.rng import rng_for
 
 #: Fraction of nets concertedly lifted above the split layer.
 LIFT_FRACTION = 0.30
-
-
-def select_lift_nets(circuit: Circuit, routing, fraction: float, rng) -> set[str]:
-    """Pick lifting candidates the way [12] prioritises.
-
-    Functionally central nets first: nets observing many primary outputs
-    cause maximal damage when mis-recovered, and their high fanout makes
-    candidate confusion worst once the hints are erased.  Output reach
-    comes from one reverse-reachability pass over the levelized circuit
-    (:meth:`Circuit.output_reach_counts`) rather than a scalar cone walk
-    per net; the selection order is unchanged.
-    """
-    reach = circuit.output_reach_counts()
-    scored = []
-    for net, routed in routing.nets.items():
-        if not routed.routes:
-            continue
-        span = sum(r.length for r in routed.routes)
-        influence = reach.get(net, 0)
-        scored.append((influence * 40.0 + len(routed.routes) * 10.0 + span, net))
-    scored.sort(reverse=True)
-    count = max(1, int(len(scored) * fraction))
-    chosen = {net for _, net in scored[:count]}
-    return chosen
 
 
 def apply_wire_lifting(
@@ -56,7 +33,7 @@ def apply_wire_lifting(
     rng = rng_for(seed, "wire-lifting", circuit.name)
     layout = base_layout(circuit, seed)
     routing = layout.routing
-    chosen = select_lift_nets(circuit, routing, fraction, rng)
+    chosen = set(select_protected_nets(circuit, routing, fraction))
     for net in chosen:
         routed = routing.nets[net]
         # whole-net lifting through via stacks with *concerted* (randomly

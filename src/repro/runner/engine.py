@@ -43,10 +43,8 @@ from repro.runner.spec import (
 from repro.runner.stages import (
     BenchRun,
     cell_attack,
-    cell_layout,
     cell_run,
     layout_cost_runs,
-    locked_design,
 )
 from repro.runner.worker import (
     enable_worker_runtime,
@@ -255,18 +253,6 @@ def execute_attack_cell(
     )
 
 
-def warm_cell(
-    cell: CellSpec,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-) -> str:
-    """Materialise a cell's lock + layout artifacts without attacking."""
-    cache = _open_cache(cache_dir, use_cache)
-    design = locked_design(cell, cache)
-    cell_layout(cell, cache, design=design)
-    return cell.cell_id
-
-
 class CampaignExecutor:
     """A long-lived cell executor: one ProcessPool shared across campaigns.
 
@@ -403,8 +389,9 @@ def run_campaign(
 
     With *fuse* (default: the ``REPRO_GRID_FUSE`` env knob) the cells
     are compiled into sibling groups by :mod:`repro.runner.grid` and
-    executed one group per task, sharing lock/layout artifacts and
-    compiled programs in memory.  Results are bit-identical either way.
+    executed as lock bundles (every group of one lock in one task),
+    sharing lock/layout artifacts and compiled programs in memory.
+    Results are bit-identical either way.
     """
     cells = expand(spec)
     start = time.perf_counter()
@@ -432,8 +419,9 @@ def run_attack_campaign(
 
     *fuse* routes through the grid compiler exactly as in
     :func:`run_campaign`; scenario cells over one (benchmark, split,
-    key_bits, seeds) base are siblings and share their locked design,
-    layout and compiled programs in memory.
+    key_bits, seeds) base are siblings in one group, and every group of
+    a lock runs in one bundle task sharing the locked design, layout and
+    compiled programs in memory.
     """
     cells = expand_attack(spec)
     start = time.perf_counter()

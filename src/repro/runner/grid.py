@@ -3,7 +3,7 @@
 A campaign grid expands into cells whose stage payloads overlap heavily:
 every split layer of one (benchmark, key config) shares the **lock**
 artifact, and every seed/scenario variation over one split shares the
-**layout** on top of it.  The legacy path exploits the overlap only
+**layout** on top of it.  The unfused path exploits the overlap only
 through the on-disk cache — each cell re-opens, re-reads and re-unpickles
 the shared artifacts (or, cold and cacheless, recomputes them outright).
 
@@ -12,36 +12,33 @@ cells with equal (layout, defense) key prefixes form a
 :class:`SiblingGroup` — defended attack cells additionally share the
 **defense** artifact, so the defended FEOL view is computed once per
 group — and groups with equal lock keys share a lock node above them.
-:func:`run_fused_cells` then executes one *group* per task instead of
-one cell:
+Inside a group:
 
-* the group's lock and layout are computed **once** and handed to every
-  member in memory (``design=``/``layout=`` on the stage functions), so
-  the compiled simulation programs cached on those circuit objects are
+* the lock and layout are computed **once** and handed to every member
+  in memory (``design=``/``layout=`` on the stage functions), so the
+  compiled simulation programs cached on those circuit objects are
   reused across members instead of being re-pickled and recompiled;
 * member HD/OER evaluations run inside
   :func:`repro.metrics.hd_oer.shared_reference_sweeps`, so the original
   machine's Monte-Carlo sweeps are simulated once per group and each
   sibling only pays for its own recovered netlist — one batched
-  array-domain comparison per sibling against recorded reference rows;
-* on the pool path, the parent pre-computes each unique lock, exports
-  the oracle's compiled program into
-  :mod:`multiprocessing.shared_memory` and ships workers a kilobyte
-  handle (:mod:`repro.sim.shared`) instead of a pickled circuit.
+  array-domain comparison per sibling against recorded reference rows.
 
-On top of the per-group fusion sits **affinity-aware dispatch**
-(``REPRO_GRID_AFFINITY``, default on): :func:`plan_bundles` collapses
-every sibling group sharing a lock into one :class:`LockBundle`, and
-the pool path submits one lock-key-sorted *bundle* per task, so a
-worker computes (or attaches) each lock exactly once for all of its
-groups, threading the design through them like the serial path does.
-With a cache, the parent additionally exports each unique lock — the
-oracle's compiled program *and* the locked design itself
-(:func:`repro.sim.shared.export_blob`) — into one shared-memory
-segment per artifact, registered with the executor-owned
+:func:`run_fused_cells` executes every campaign in one shape, the
+:class:`LockBundle`: :func:`execute_bundle` runs a bundle's groups in
+order and threads each lock's design through all of its groups, so a
+lock is computed (or attached) once per bundle.  Serially the whole
+plan is one in-process bundle.  On the pool path :func:`plan_bundles`
+collapses every group sharing a lock into one lock-key-sorted bundle per
+task, splitting the widest bundles — down to one group each — until
+every pool slot has work.  With a cache, the parent exports each unique
+lock — the oracle's compiled program *and* the locked design itself
+(:func:`repro.sim.shared.export_blob`) — into one shared-memory segment
+per artifact, registered with the executor-owned
 :class:`~repro.sim.shared.SegmentRegistry` whose lifetime spans the
 campaign (and, for a shared executor, every campaign it serves).
-Workers pin the attached artifacts in their resident tier
+Workers attach kilobyte handles instead of unpickling circuits and pin
+the attached artifacts in their resident tier
 (:mod:`repro.runner.worker`), so repeated traffic never re-unpickles
 them.
 
@@ -51,7 +48,6 @@ never what is computed.  ``tests/test_grid.py`` enforces the identity
 differentially; ``benchmarks/bench_campaign.py`` tracks the wall-clock
 win under the ``BENCH_campaign`` regression gate.
 """
-
 from __future__ import annotations
 
 import functools
@@ -99,7 +95,6 @@ from repro.sim.shared import (
     install_program,
 )
 from repro.utils.artifact_cache import CacheStats, StageStats, spec_key
-from repro.utils.env import env_flag
 
 __all__ = [
     "SiblingGroup",
@@ -107,7 +102,6 @@ __all__ = [
     "LockBundle",
     "plan_campaign",
     "plan_bundles",
-    "execute_group",
     "execute_bundle",
     "run_fused_cells",
 ]
@@ -363,34 +357,17 @@ def _run_group(
     return results, design
 
 
-def execute_group(
-    cells: Sequence[GridCell],
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-    oracle_handle=None,
-) -> list[CellResult | AttackCellResult]:
-    """Pool worker: one sibling group end to end (module-level: picklable).
-
-    *oracle_handle*, when present, is a
-    :class:`repro.sim.shared.SharedProgramHandle` for the group core's
-    compiled program — attached zero-copy instead of recompiling.
-    """
-    cache = _open_cache(cache_dir, use_cache)
-    results, _design = _run_group(cells, cache, oracle_handle=oracle_handle)
-    return results
-
-
 # ---------------------------------------------------------------------------
-# Affinity-aware dispatch: groups sharing a lock bundled into one task
+# Lock bundles: groups sharing a lock run as one task
 
 
 @dataclass(frozen=True)
 class LockBundle:
-    """Every sibling group of one lock, dispatched as a single task.
+    """Sibling groups of one lock, dispatched as a single task.
 
-    The executing worker threads the lock's design through its groups
-    exactly like the serial path, so the lock is computed (or attached)
-    once per bundle instead of once per group.
+    :func:`execute_bundle` threads the lock's design through the groups,
+    so the lock is computed (or attached) once per bundle instead of
+    once per group.
     """
 
     lock_key: str
@@ -443,11 +420,13 @@ def execute_bundle(
     oracle_handles: dict | None = None,
     design_handles: dict | None = None,
 ) -> list[list[CellResult | AttackCellResult]]:
-    """Pool worker: one lock bundle, group by group (module-level: picklable).
+    """One lock bundle, group by group (module-level: picklable).
 
-    The design resolved for the first group of each lock key is threaded
-    through the key's later groups in-process; *oracle_handles* /
-    *design_handles* map lock keys to the parent's shared-memory exports.
+    Pool workers run one bundle per task; the serial path runs the whole
+    plan as one in-process bundle.  The design resolved for the first
+    group of each lock key is threaded through the key's later groups;
+    *oracle_handles* / *design_handles* map lock keys to the parent's
+    shared-memory exports.
     """
     cache = _open_cache(cache_dir, use_cache)
     oracle_handles = oracle_handles or {}
@@ -471,45 +450,16 @@ def execute_bundle(
 # Fused campaign driver
 
 
-def _export_oracles(plan: GridPlan, cache, registry) -> dict:
-    """Pre-compute each unique lock and export its oracle program.
-
-    Returns handles by lock key.  Each segment is registered with
-    *registry* the moment it exists, so an exception mid-export (or a
-    worker failure later) can never strand it — the registry's owner
-    (and its atexit guard) sweeps everything.  Pre-computing in the
-    parent also guarantees sibling *groups* sharing a lock never
-    duplicate the lock computation across workers — the cache serves it
-    to every group.
-    """
-    handles: dict[str, object] = {}
-    for group in plan.groups:
-        if group.lock_key in handles:
-            continue
-        cached = registry.lookup("oracle", group.lock_key)
-        if cached is not None:
-            handles[group.lock_key] = cached
-            continue
-        base = _base_cell(plan.cells[group.indices[0]])
-        design = locked_design(base, cache)
-        try:
-            program = compile_circuit(design.core)
-        except ValueError:  # sequential core: no compiled program to ship
-            handles[group.lock_key] = None
-            continue
-        handle, segment = export_program(program)
-        registry.store("oracle", group.lock_key, handle, segment)
-        handles[group.lock_key] = handle
-    return handles
-
-
 def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
-    """Affinity-path parent exports: oracle program + design blob per lock.
+    """Pool-path parent exports: oracle program + design blob per lock.
 
-    The parent already pays the lock load (disk hit, or compute + store
-    on a cold cache), so shipping the deserialized design costs one
-    pickle into one segment that *every* bundle and group of the lock
-    reads — workers skip the per-task disk unpickle entirely.  A
+    Returns ``(oracle_handles, design_handles)`` by lock key.  Each
+    segment is registered with *registry* the moment it exists, so an
+    exception mid-export (or a worker failure later) can never strand
+    it.  The parent already pays the lock load (disk hit, or compute +
+    store on a cold cache), so shipping the deserialized design costs
+    one pickle into one segment that *every* bundle of the lock reads —
+    workers skip the per-task disk unpickle entirely.  A
     registry shared across campaigns (the service executor's) serves
     repeat campaigns from the existing segments without touching the
     lock stage at all.
@@ -544,21 +494,9 @@ def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
     return oracle_handles, design_handles
 
 
-def _resolve_affinity(affinity: bool | None) -> bool:
-    """Explicit argument wins; else the ``REPRO_GRID_AFFINITY`` knob."""
-    if affinity is not None:
-        return affinity
-    return env_flag("REPRO_GRID_AFFINITY", default=True)
-
-
-def _collect_pool(futures, units, plan, ordered, result_groups) -> None:
-    """Fail-fast collection shared by both pool dispatch shapes.
-
-    *units* are the submitted work units (groups or bundles);
-    *result_groups(unit, result)* yields ``(group, member_results)``
-    pairs to scatter into *ordered* by original cell index.
-    """
-    by_future = dict(zip(futures, units))
+def _collect_pool(futures, bundles, plan, ordered) -> None:
+    """Fail-fast collection: scatter each bundle's member results into
+    *ordered* by original cell index."""
     done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
     failed = next((f for f in done if f.exception() is not None), None)
     if failed is not None:
@@ -567,13 +505,18 @@ def _collect_pool(futures, units, plan, ordered, result_groups) -> None:
         exc = failed.exception()
         if isinstance(exc, CellExecutionError):
             raise exc
-        unit = by_future[failed]
-        group = unit.groups[0] if isinstance(unit, LockBundle) else unit
-        raise _wrap_cell_error(plan.cells[group.indices[0]], exc) from exc
-    for future, unit in zip(futures, units):
-        for group, results in result_groups(unit, future.result()):
-            for index, result in zip(group.indices, results):
-                ordered[index] = result
+        bundle = bundles[futures.index(failed)]
+        raise _wrap_cell_error(
+            plan.cells[bundle.groups[0].indices[0]], exc
+        ) from exc
+    for future, bundle in zip(futures, bundles):
+        _scatter(bundle.groups, future.result(), ordered)
+
+
+def _scatter(groups, group_results, ordered) -> None:
+    for group, results in zip(groups, group_results):
+        for index, result in zip(group.indices, results):
+            ordered[index] = result
 
 
 def run_fused_cells(
@@ -582,18 +525,18 @@ def run_fused_cells(
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     executor: CampaignExecutor | None = None,
-    affinity: bool | None = None,
 ) -> list[CellResult | AttackCellResult]:
-    """Execute *cells* through the grid plan; results in input order.
+    """Execute *cells* through the grid plan as lock bundles; results in
+    input order.
 
-    Serial (one worker or one group): groups run in-process, reusing
-    designs across groups that share a lock.  Pool, affinity on (the
-    default): one task per :class:`LockBundle` — every group of a lock
-    lands on one worker, which resolves the lock once; with a cache the
-    parent exports each unique lock (design blob + oracle program) into
-    shared memory shared by all of its groups.  Pool, affinity off: one
-    task per sibling group (the pre-runtime shape, kept for A/B
-    benchmarking), oracle programs still shipped per unique lock.
+    Serial (one worker or one group): the whole plan runs as one
+    in-process :func:`execute_bundle` call in plan order, reusing each
+    design across the groups that share its lock.  Pool: one task per
+    :class:`LockBundle` from :func:`plan_bundles` — every group of a
+    lock lands on one worker (unless the lock's bundle was split to fill
+    idle slots), which resolves the lock once; with a cache the parent
+    exports each unique lock (design blob + oracle program) into shared
+    memory read by all of its bundles.
 
     *executor*, when given, must be a live :class:`CampaignExecutor`;
     its pool, cache policy and segment registry are used and it is NOT
@@ -616,82 +559,42 @@ def run_fused_cells(
     ordered: dict[int, CellResult | AttackCellResult] = {}
 
     if count == 1 and executor is None:
-        cache = _open_cache(cache_dir, use_cache)
-        designs: dict[str, LockedDesign] = {}
-        for group in plan.groups:
-            results, design = _run_group(
-                plan.group_cells(group),
-                cache,
-                design=designs.get(group.lock_key),
-            )
-            designs[group.lock_key] = design
-            for index, result in zip(group.indices, results):
-                ordered[index] = result
+        results = execute_bundle(
+            [plan.group_cells(g) for g in plan.groups],
+            cache_dir,
+            use_cache,
+            lock_keys=[g.lock_key for g in plan.groups],
+        )
+        _scatter(plan.groups, results, ordered)
         return [ordered[i] for i in range(len(cells))]
 
     own_executor = executor is None
     if own_executor:
         executor = CampaignExecutor(count, cache_dir, use_cache)
     try:
-        if _resolve_affinity(affinity):
-            bundles = plan_bundles(plan, slots=count)
-            oracle_handles: dict = {}
-            design_handles: dict = {}
-            if use_cache:
-                oracle_handles, design_handles = _export_artifacts(
-                    plan, _open_cache(cache_dir, use_cache), executor.segments
-                )
-            futures = [
-                executor.submit(
-                    execute_bundle,
-                    [plan.group_cells(g) for g in bundle.groups],
-                    lock_keys=[g.lock_key for g in bundle.groups],
-                    oracle_handles={
-                        bundle.lock_key: oracle_handles[bundle.lock_key]
-                    }
-                    if oracle_handles.get(bundle.lock_key) is not None
-                    else None,
-                    design_handles={
-                        bundle.lock_key: design_handles[bundle.lock_key]
-                    }
-                    if design_handles.get(bundle.lock_key) is not None
-                    else None,
-                )
-                for bundle in bundles
-            ]
-            _collect_pool(
-                futures,
-                bundles,
-                plan,
-                ordered,
-                lambda bundle, result: zip(bundle.groups, result),
+        bundles = plan_bundles(plan, slots=count)
+        oracle_handles: dict = {}
+        design_handles: dict = {}
+        if use_cache:
+            oracle_handles, design_handles = _export_artifacts(
+                plan, _open_cache(cache_dir, use_cache), executor.segments
             )
-        else:
-            handles: dict = {}
-            if use_cache:
-                handles = _export_oracles(
-                    plan, _open_cache(cache_dir, use_cache), executor.segments
-                )
-            futures = [
-                executor.submit(
-                    execute_group,
-                    plan.group_cells(group),
-                    oracle_handle=handles.get(group.lock_key),
-                )
-                for group in plan.groups
-            ]
-            _collect_pool(
-                futures,
-                plan.groups,
-                plan,
-                ordered,
-                lambda group, result: [(group, result)],
+        futures = [
+            executor.submit(
+                execute_bundle,
+                [plan.group_cells(g) for g in bundle.groups],
+                lock_keys=[g.lock_key for g in bundle.groups],
+                oracle_handles={bundle.lock_key: oracle_handles.get(bundle.lock_key)},
+                design_handles={bundle.lock_key: design_handles.get(bundle.lock_key)},
             )
+            for bundle in bundles
+        ]
+        _collect_pool(futures, bundles, plan, ordered)
     finally:
         if own_executor:
             # Shutdown waits out the pool, then sweeps the registry —
             # segments are released exactly once even when a worker
-            # task raised mid-group (and the registry's atexit guard
+            # task raised mid-bundle (and the registry's atexit guard
             # backstops hard exits).
             executor.shutdown()
     return [ordered[i] for i in range(len(cells))]

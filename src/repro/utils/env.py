@@ -23,7 +23,7 @@ Knobs:
   (``auto``/``compiled``/``reference``; parsed by
   :mod:`repro.sat.dispatch`).  The engines are search-identical — same
   decisions, learned clauses, models and stats — so ``auto`` takes the
-  compiled array-native path whenever NumPy imports; the resolved
+  compiled array-native path; the resolved
   choice participates in the runner's SAT-consuming cache keys
   (attack and Table III stages).
 * ``REPRO_ATTACK_SEED``   — default adversary-scenario seed (``0`` is a
@@ -51,13 +51,6 @@ Knobs:
   fast path is the default; ``REPRO_GRID_FUSE=0`` opts out and an
   explicit ``fuse=`` argument on the campaign entry points overrides
   the knob either way.
-* ``REPRO_GRID_AFFINITY``  — affinity-aware pool dispatch (default
-  **on**).  The fused pool path submits sibling groups sharing a lock
-  as one lock-key-sorted bundle per task, so each worker computes (or
-  unpickles) a lock at most once and the worker-resident artifact tier
-  serves repeats.  Results are bit-identical either way;
-  ``REPRO_GRID_AFFINITY=0`` restores one task per sibling group (the
-  pre-runtime shape, kept for A/B benchmarking).
 * ``REPRO_WORKER_CACHE_MB`` — byte budget (mebibytes) of the
   per-worker in-memory artifact tier (:mod:`repro.runner.worker`),
   default ``256``.  Pool workers pin deserialized locks, layouts and

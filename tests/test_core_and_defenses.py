@@ -144,6 +144,36 @@ def defense_outcomes():
     }
 
 
+#: c432 Table III goldens: (PNR, CCR, HD, OER, broken_nets) per defense,
+#: pinned exactly so a rewrite of the legacy helpers cannot drift.
+TABLE3_C432 = {
+    "perturb": (
+        58.415841584158414, 58.415841584158414, 40.945870535714285,
+        98.6328125, 52,
+    ),
+    "lift": (
+        2.247191011235955, 2.247191011235955, 45.591517857142854,
+        98.681640625, 62,
+    ),
+    "restore": (
+        2.247191011235955, 2.247191011235955, 47.537667410714285,
+        98.974609375, 62,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE3_C432))
+def test_table3_c432_goldens(defense_outcomes, name):
+    outcome = defense_outcomes[name]
+    assert (
+        outcome.pnr_percent,
+        outcome.ccr_percent,
+        outcome.hd_percent,
+        outcome.oer_percent,
+        outcome.broken_nets,
+    ) == TABLE3_C432[name]
+
+
 def test_routing_perturbation_is_weak(defense_outcomes):
     outcome = defense_outcomes["perturb"]
     assert outcome.ccr_percent > 35.0  # the attack recovers most

@@ -20,7 +20,7 @@ from repro.runner.engine import (
     run_attack_campaign,
     run_campaign,
 )
-from repro.runner.grid import plan_campaign, run_fused_cells
+from repro.runner.grid import plan_bundles, plan_campaign, run_fused_cells
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec, CellSpec
 from repro.sim.compiled import compile_circuit
@@ -47,6 +47,11 @@ GRID = [
     replace(BASE, hd_seed=7),
     replace(BASE, split_layer=6),
 ]
+
+#: GRID plus a third layout over the same lock: two workers split the
+#: lock's bundle into a one-group and a two-group bundle, three workers
+#: split it down to one group per bundle.
+POOL_GRID = GRID + [replace(BASE, split_layer=6, utilization=0.66)]
 
 ATTACKS = AttackCampaignSpec(
     benchmarks=("random:i10-o5-g90",),
@@ -112,17 +117,30 @@ def test_fused_pool_bit_identical(unfused_runs, tmp_path):
     assert _canon(fused) == _canon(unfused_runs)
 
 
-def test_affinity_routing_bit_identical(unfused_runs, tmp_path):
-    """Lock-affine bundles vs per-group dispatch: same records exactly."""
-    per_group = run_fused_cells(
-        GRID, workers=2, cache_dir=tmp_path / "a", affinity=False
+@pytest.fixture(scope="module")
+def unfused_pool_runs():
+    return run_campaign(POOL_GRID, workers=1, use_cache=False, fuse=False)
+
+
+@pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "cacheless"])
+@pytest.mark.parametrize("workers", [2, len(plan_campaign(POOL_GRID).groups)])
+def test_bundle_pool_bit_identical(
+    unfused_pool_runs, tmp_path, workers, use_cache
+):
+    """Pool bundles at every split width, with and without the parent's
+    shared-memory exports: same records as the unfused path exactly.
+    At one worker per group the split reaches one group per bundle."""
+    plan = plan_campaign(POOL_GRID)
+    bundles = plan_bundles(plan, slots=workers)
+    assert len(bundles) == workers
+    per_group = all(len(bundle) == 1 for bundle in bundles)
+    assert per_group == (workers == len(plan.groups))
+    results = run_fused_cells(
+        POOL_GRID, workers=workers, cache_dir=tmp_path, use_cache=use_cache
     )
-    bundled = run_fused_cells(
-        GRID, workers=2, cache_dir=tmp_path / "b", affinity=True
+    assert canonical_json([result_record(r) for r in results]) == _canon(
+        unfused_pool_runs
     )
-    records = canonical_json([result_record(r) for r in bundled])
-    assert records == canonical_json([result_record(r) for r in per_group])
-    assert records == _canon(unfused_runs)
 
 
 def test_fused_attacks_bit_identical():
