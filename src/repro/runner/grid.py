@@ -27,31 +27,27 @@ Inside a group:
 :func:`run_fused_cells` executes every campaign in one shape, the
 :class:`LockBundle`: :func:`execute_bundle` runs a bundle's groups in
 order and threads each lock's design through all of its groups, so a
-lock is computed (or attached) once per bundle.  Serially the whole
-plan is one in-process bundle.  On the pool path :func:`plan_bundles`
-collapses every group sharing a lock into one lock-key-sorted bundle per
-task, splitting the widest bundles — down to one group each — until
-every pool slot has work.  With a cache, the parent exports each unique
-lock — the oracle's compiled program *and* the locked design itself
-(:func:`repro.sim.shared.export_blob`) — into one shared-memory segment
-per artifact, registered with the executor-owned
-:class:`~repro.sim.shared.SegmentRegistry` whose lifetime spans the
-campaign (and, for a shared executor, every campaign it serves).
-Workers attach kilobyte handles instead of unpickling circuits and pin
-the attached artifacts in their resident tier
-(:mod:`repro.runner.worker`), so repeated traffic never re-unpickles
-them.
+lock is resolved once per bundle.  Serially the whole plan is one
+in-process bundle.  On the pool path :func:`plan_bundles` collapses
+every group sharing a lock into one lock-key-sorted bundle per task,
+splitting the widest bundles — down to one group each — until every
+pool slot has work.  Each bundle resolves its own lock through
+:func:`~repro.runner.stages.locked_design` (worker tier, then disk
+cache); with a cache, the parent resolves each *split* lock once before
+submitting, so its bundles read it from disk instead of computing it
+twice.
 
 Everything is bit-identical to the unfused path: the fusion only moves
-*where* shared artifacts are computed and how their programs travel —
-never what is computed.  ``tests/test_grid.py`` enforces the identity
-differentially; ``benchmarks/bench_campaign.py`` tracks the wall-clock
-win under the ``BENCH_campaign`` regression gate.
+*where* shared artifacts are computed — never what is computed.
+``tests/test_grid.py`` enforces the identity differentially;
+``benchmarks/bench_campaign.py`` tracks the wall-clock win under the
+``BENCH_campaign`` regression gate.
 """
 from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,20 +76,7 @@ from repro.runner.stages import (
     lock_payload,
     locked_design,
 )
-from repro.runner.worker import (
-    active_runtime,
-    worker_stats_delta,
-    worker_stats_snapshot,
-)
-from repro.sim.compiled import compile_circuit
-from repro.sim.shared import (
-    SharedBlobHandle,
-    attach_blob,
-    attach_program,
-    export_blob,
-    export_program,
-    install_program,
-)
+from repro.runner.worker import worker_stats_delta, worker_stats_snapshot
 from repro.utils.artifact_cache import CacheStats, StageStats, spec_key
 
 __all__ = [
@@ -239,51 +222,15 @@ def _stats_delta(before: CacheStats, cache) -> CacheStats:
     return delta
 
 
-def _adopt_oracle(design: LockedDesign, handle) -> None:
-    """Install a shared-memory oracle program onto the group's core.
-
-    Skipped when the core already carries a valid compiled program —
-    a tier-resident design keeps its installed (attached or compiled)
-    program across tasks, and re-attaching would only map a fresh
-    segment view of the identical arrays.
-    """
-    core = design.core
-    cached = getattr(core, "_compiled_cache", None)
-    if (
-        cached is not None
-        and cached._topo_ref is not None
-        and cached._topo_ref is getattr(core, "_topo_cache", None)
-    ):
-        return
-    install_program(core, attach_program(handle))
-
-
-def _design_from_handle(handle: SharedBlobHandle) -> LockedDesign:
-    """The exported locked design, served from the tier when resident."""
-    runtime = active_runtime()
-    if runtime is None:
-        return attach_blob(handle)
-    design = runtime.get(handle.stage, handle.key)
-    if design is None:
-        design = attach_blob(handle)
-        runtime.put(handle.stage, handle.key, design)
-    return design
-
-
 def _run_group(
     cells: Sequence[GridCell],
     cache,
     design: LockedDesign | None = None,
-    oracle_handle=None,
-    design_handle: SharedBlobHandle | None = None,
 ) -> tuple[list[CellResult | AttackCellResult], LockedDesign]:
     """Execute one group sharing lock/layout/defense/programs in memory.
 
     Returns the member results (group order) and the group's design so
     in-process callers can reuse it across groups sharing a lock.
-    *design_handle*, when present, is the parent's shared-memory export
-    of the design — attached (or tier-served) instead of re-deriving it
-    through the lock stage.
     """
     results: list[CellResult | AttackCellResult] = []
     layout = None
@@ -301,13 +248,8 @@ def _run_group(
             start = time.perf_counter()
             before = _stats_snapshot(cache)
             try:
-                if design is None and design_handle is not None:
-                    design = _design_from_handle(design_handle)
                 if design is None:
                     design = locked_design(base, cache)
-                if oracle_handle is not None:
-                    _adopt_oracle(design, oracle_handle)
-                    oracle_handle = None
                 if layout is None:
                     layout = cell_layout(base, cache, design=design)
                 if isinstance(cell, AttackCellSpec):
@@ -366,8 +308,7 @@ class LockBundle:
     """Sibling groups of one lock, dispatched as a single task.
 
     :func:`execute_bundle` threads the lock's design through the groups,
-    so the lock is computed (or attached) once per bundle instead of
-    once per group.
+    so the lock is resolved once per bundle instead of once per group.
     """
 
     lock_key: str
@@ -386,8 +327,10 @@ def plan_bundles(plan: GridPlan, slots: int | None = None) -> list[LockBundle]:
 
     With *slots*, over-wide bundles are split (largest first, by cell
     count) until every pool slot has work or no bundle has more than
-    one group left — a split bundle's halves recompute the lock twice,
-    which still beats idle workers.  The result is a deterministic
+    one group left.  A split bundle's halves each resolve the lock:
+    with a cache, :func:`run_fused_cells` computes it once up front and
+    both halves read it from disk; cacheless, both recompute it, which
+    still beats idle workers.  The result is a deterministic
     function of (plan, slots), so submission order is reproducible.
     """
     by_lock: dict[str, list[SiblingGroup]] = {}
@@ -417,30 +360,18 @@ def execute_bundle(
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
     lock_keys: Sequence[str] = (),
-    oracle_handles: dict | None = None,
-    design_handles: dict | None = None,
 ) -> list[list[CellResult | AttackCellResult]]:
     """One lock bundle, group by group (module-level: picklable).
 
     Pool workers run one bundle per task; the serial path runs the whole
     plan as one in-process bundle.  The design resolved for the first
-    group of each lock key is threaded through the key's later groups;
-    *oracle_handles* / *design_handles* map lock keys to the parent's
-    shared-memory exports.
+    group of each lock key is threaded through the key's later groups.
     """
     cache = _open_cache(cache_dir, use_cache)
-    oracle_handles = oracle_handles or {}
-    design_handles = design_handles or {}
     designs: dict[str, LockedDesign] = {}
     out: list[list[CellResult | AttackCellResult]] = []
     for cells, lock_key in zip(group_cells, lock_keys):
-        results, design = _run_group(
-            cells,
-            cache,
-            design=designs.get(lock_key),
-            oracle_handle=oracle_handles.get(lock_key),
-            design_handle=design_handles.get(lock_key),
-        )
+        results, design = _run_group(cells, cache, design=designs.get(lock_key))
         designs[lock_key] = design
         out.append(results)
     return out
@@ -450,48 +381,19 @@ def execute_bundle(
 # Fused campaign driver
 
 
-def _export_artifacts(plan: GridPlan, cache, registry) -> tuple[dict, dict]:
-    """Pool-path parent exports: oracle program + design blob per lock.
+def _resolve_split_locks(
+    plan: GridPlan, bundles: Sequence[LockBundle], cache
+) -> None:
+    """Compute (or load) each lock spread over several bundles, once.
 
-    Returns ``(oracle_handles, design_handles)`` by lock key.  Each
-    segment is registered with *registry* the moment it exists, so an
-    exception mid-export (or a worker failure later) can never strand
-    it.  The parent already pays the lock load (disk hit, or compute +
-    store on a cold cache), so shipping the deserialized design costs
-    one pickle into one segment that *every* bundle of the lock reads —
-    workers skip the per-task disk unpickle entirely.  A
-    registry shared across campaigns (the service executor's) serves
-    repeat campaigns from the existing segments without touching the
-    lock stage at all.
+    The lock then sits in the disk cache before any of its bundles
+    starts, so they read it instead of each computing it.
     """
-    oracle_handles: dict[str, object] = {}
-    design_handles: dict[str, object] = {}
-    for group in plan.groups:
-        key = group.lock_key
-        if key in design_handles:
-            continue
-        cached_design = registry.lookup("lock", key)
-        if cached_design is not None:
-            design_handles[key] = cached_design
-            oracle = registry.lookup("oracle", key)
-            if oracle is not None:
-                oracle_handles[key] = oracle
-            continue
-        base = _base_cell(plan.cells[group.indices[0]])
-        design = locked_design(base, cache)
-        # Export the blob before compiling: the pickled design must not
-        # drag the compiled program (shipped separately, zero-copy) in.
-        handle, segment = export_blob(design, stage="lock", key=key)
-        registry.store("lock", key, handle, segment)
-        design_handles[key] = handle
-        try:
-            program = compile_circuit(design.core)
-        except ValueError:  # sequential core: no compiled program to ship
-            continue
-        ohandle, osegment = export_program(program)
-        registry.store("oracle", key, ohandle, osegment)
-        oracle_handles[key] = ohandle
-    return oracle_handles, design_handles
+    spread = Counter(bundle.lock_key for bundle in bundles)
+    for bundle in bundles:
+        if spread.pop(bundle.lock_key, 0) > 1:
+            first = bundle.groups[0].indices[0]
+            locked_design(_base_cell(plan.cells[first]), cache)
 
 
 def _collect_pool(futures, bundles, plan, ordered) -> None:
@@ -524,7 +426,6 @@ def run_fused_cells(
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    executor: CampaignExecutor | None = None,
 ) -> list[CellResult | AttackCellResult]:
     """Execute *cells* through the grid plan as lock bundles; results in
     input order.
@@ -532,33 +433,21 @@ def run_fused_cells(
     Serial (one worker or one group): the whole plan runs as one
     in-process :func:`execute_bundle` call in plan order, reusing each
     design across the groups that share its lock.  Pool: one task per
-    :class:`LockBundle` from :func:`plan_bundles` — every group of a
-    lock lands on one worker (unless the lock's bundle was split to fill
-    idle slots), which resolves the lock once; with a cache the parent
-    exports each unique lock (design blob + oracle program) into shared
-    memory read by all of its bundles.
-
-    *executor*, when given, must be a live :class:`CampaignExecutor`;
-    its pool, cache policy and segment registry are used and it is NOT
-    shut down — consecutive campaigns on one executor reuse both warm
-    workers (their resident artifact tiers) and the registry's exported
-    segments.  Otherwise a private executor is created and torn down,
-    releasing every segment exported for this campaign.
+    :class:`LockBundle` from :func:`plan_bundles` on a private
+    :class:`CampaignExecutor` — every group of a lock lands on one
+    worker, which resolves the lock once.  When a lock's bundle was
+    split to fill idle slots and a cache is in use, the parent resolves
+    that lock first, so its bundles read it from the disk cache.
     """
     cells = tuple(cells)
     if not cells:
         return []
     plan = plan_campaign(cells)
-    if executor is not None:
-        if workers is None:
-            workers = executor.workers
-        cache_dir = executor.cache_dir
-        use_cache = executor.use_cache
     count = workers if workers is not None else default_workers()
     count = max(1, min(count, len(plan.groups)))
     ordered: dict[int, CellResult | AttackCellResult] = {}
 
-    if count == 1 and executor is None:
+    if count == 1:
         results = execute_bundle(
             [plan.group_cells(g) for g in plan.groups],
             cache_dir,
@@ -568,33 +457,17 @@ def run_fused_cells(
         _scatter(plan.groups, results, ordered)
         return [ordered[i] for i in range(len(cells))]
 
-    own_executor = executor is None
-    if own_executor:
-        executor = CampaignExecutor(count, cache_dir, use_cache)
-    try:
-        bundles = plan_bundles(plan, slots=count)
-        oracle_handles: dict = {}
-        design_handles: dict = {}
-        if use_cache:
-            oracle_handles, design_handles = _export_artifacts(
-                plan, _open_cache(cache_dir, use_cache), executor.segments
-            )
+    bundles = plan_bundles(plan, slots=count)
+    if use_cache:
+        _resolve_split_locks(plan, bundles, _open_cache(cache_dir, use_cache))
+    with CampaignExecutor(count, cache_dir, use_cache) as executor:
         futures = [
             executor.submit(
                 execute_bundle,
                 [plan.group_cells(g) for g in bundle.groups],
                 lock_keys=[g.lock_key for g in bundle.groups],
-                oracle_handles={bundle.lock_key: oracle_handles.get(bundle.lock_key)},
-                design_handles={bundle.lock_key: design_handles.get(bundle.lock_key)},
             )
             for bundle in bundles
         ]
         _collect_pool(futures, bundles, plan, ordered)
-    finally:
-        if own_executor:
-            # Shutdown waits out the pool, then sweeps the registry —
-            # segments are released exactly once even when a worker
-            # task raised mid-bundle (and the registry's atexit guard
-            # backstops hard exits).
-            executor.shutdown()
     return [ordered[i] for i in range(len(cells))]

@@ -11,11 +11,11 @@ program the previous task just dropped.
 
 :class:`WorkerRuntime` closes that gap: a content-keyed in-memory LRU,
 one per worker process, that pins the **deserialized** artifacts —
-locks (with their installed compiled programs), layouts and defended
-views — across tasks, campaigns and service jobs.  Keys are the very
-``spec_key`` stage keys of the disk cache, so the tier can only ever
-serve the identical artifact the disk (or a recompute) would produce;
-its presence is unobservable in results by construction.  The byte
+locks (with the compiled programs cached on their circuits), layouts
+and defended views — across tasks, campaigns and service jobs.  Keys
+are the very ``spec_key`` stage keys of the disk cache, so the tier can
+only ever serve the identical artifact the disk (or a recompute) would
+produce; its presence is unobservable in results by construction.  The byte
 budget comes from ``REPRO_WORKER_CACHE_MB`` (resolved *outside* cache
 keys — capacity cannot change content), sized by pickled length —
 the same bytes the disk cache would store.

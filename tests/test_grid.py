@@ -1,8 +1,7 @@
 """Grid compiler: sibling planning, fused execution, bit-identity.
 
 The contract under test is strict: fusion may change *where* shared
-artifacts are computed and how compiled programs travel — never what is
-computed.  Every fused/unfused comparison below goes through
+artifacts are computed — never what is computed.  Every fused/unfused comparison below goes through
 :func:`repro.runner.serialize.canonical_json`, the same canonical form
 CI diffs, so any numeric drift in any metric fails loudly.
 """
@@ -14,22 +13,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.benchgen import load_iscas85
 from repro.runner.engine import (
     CellExecutionError,
     run_attack_campaign,
     run_campaign,
 )
 from repro.runner.grid import plan_bundles, plan_campaign, run_fused_cells
+from repro.runner.profiles import attack_smoke_campaign, defense_smoke_campaign
 from repro.runner.serialize import canonical_json, result_record
 from repro.runner.spec import AttackCampaignSpec, CellSpec
-from repro.sim.compiled import compile_circuit
-from repro.sim.shared import (
-    attach_program,
-    export_program,
-    install_program,
-    release_segment,
-)
 
 BASE = CellSpec(
     benchmark="random:i10-o5-g90",
@@ -110,11 +102,38 @@ def test_fused_serial_bit_identical(unfused_runs):
 
 
 def test_fused_pool_bit_identical(unfused_runs, tmp_path):
-    """Two workers over a real cache: shared-memory oracle shipping."""
+    """Two workers over a real cache: each bundle reads its lock from disk."""
     fused = run_campaign(
         GRID, workers=2, cache_dir=tmp_path, use_cache=True, fuse=True
     )
     assert _canon(fused) == _canon(unfused_runs)
+
+
+@pytest.mark.parametrize(
+    "campaign, counts",
+    [
+        # One lock split over two bundles: the parent computes it, both
+        # bundles read it from disk.
+        (defense_smoke_campaign, (0, 2)),
+        # Two locks, one bundle each: each bundle computes its own.
+        (attack_smoke_campaign, (2, 0)),
+    ],
+    ids=["split-lock", "unsplit-locks"],
+)
+def test_pool_computes_each_lock_once(campaign, counts, monkeypatch, tmp_path):
+    """Cold cached pool run: lock-stage (misses, hits) summed over cells.
+
+    The worker tier is off so that every bundle resolves its lock
+    through the disk cache, whichever worker runs it.
+    """
+    monkeypatch.setenv("REPRO_WORKER_CACHE_MB", "0")
+    cells = campaign().cells()
+    assert len(plan_bundles(plan_campaign(cells), slots=2)) == 2
+    results = run_fused_cells(cells, workers=2, cache_dir=tmp_path)
+    lock = [r.cache.stages.get("lock") for r in results]
+    misses = sum(s.misses for s in lock if s is not None)
+    hits = sum(s.hits for s in lock if s is not None)
+    assert (misses, hits) == counts
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +146,10 @@ def unfused_pool_runs():
 def test_bundle_pool_bit_identical(
     unfused_pool_runs, tmp_path, workers, use_cache
 ):
-    """Pool bundles at every split width, with and without the parent's
-    shared-memory exports: same records as the unfused path exactly.
-    At one worker per group the split reaches one group per bundle."""
+    """Pool bundles at every split width, with and without the disk
+    cache handing the split lock over: same records as the unfused path
+    exactly.  At one worker per group the split reaches one group per
+    bundle."""
     plan = plan_campaign(POOL_GRID)
     bundles = plan_bundles(plan, slots=workers)
     assert len(bundles) == workers
@@ -229,38 +249,3 @@ def test_fused_wraps_member_failure_with_cell_id():
     clone = pickle.loads(pickle.dumps(excinfo.value))
     assert clone.cell_id == bad.cell_id
     assert clone.detail == excinfo.value.detail
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory program transport
-
-
-def test_shared_program_round_trip():
-    circuit = load_iscas85("c432", seed=1).combinational_core()
-    compiled = compile_circuit(circuit)
-    handle, segment = export_program(compiled)
-    try:
-        clone = attach_program(handle)
-        stimulus = {net: (1 << 64) - 1 - i for i, net in enumerate(circuit.inputs)}
-        want = compiled.simulate_batch_array(stimulus, 64, [None])
-        got = clone.simulate_batch_array(stimulus, 64, [None])
-        assert (want == got).all()
-        # Install onto a pickle-round-tripped circuit (a worker's copy):
-        # the compiled cache must serve the attached program afterwards.
-        worker_circuit = pickle.loads(pickle.dumps(circuit))
-        install_program(worker_circuit, clone)
-        assert compile_circuit(worker_circuit) is clone
-    finally:
-        release_segment(segment)
-
-
-def test_install_program_rejects_mismatched_circuit():
-    circuit = load_iscas85("c432", seed=1).combinational_core()
-    other = load_iscas85("c17", seed=1).combinational_core()
-    handle, segment = export_program(compile_circuit(circuit))
-    try:
-        clone = attach_program(handle)
-        with pytest.raises(ValueError):
-            install_program(other, clone)
-    finally:
-        release_segment(segment)

@@ -24,13 +24,6 @@ from repro.sim.bitparallel import (
     unpack_word,
 )
 from repro.sim.event_sim import evaluate_outputs, simulate_event_driven
-from repro.sim.patterns import (
-    exhaustive_patterns,
-    int_to_pattern,
-    pattern_to_int,
-    random_patterns,
-    walking_ones,
-)
 from repro.sim.sequential import SequentialSimulator
 from tests.conftest import build_random_circuit, tiny_mux_circuit
 
@@ -186,17 +179,6 @@ def test_sequential_reset_value():
     circuit.add_output("q2")
     sim = SequentialSimulator(circuit, num_patterns=1, reset_value=1)
     assert sim.step({"x": 0})["q2"] & 1 == 1
-
-
-def test_pattern_helpers():
-    assert pattern_to_int((1, 0, 1)) == 0b101
-    assert int_to_pattern(0b101, 3) == (1, 0, 1)
-    assert len(list(exhaustive_patterns(3))) == 8
-    ones = walking_ones(4)
-    assert len(ones) == 5 and sum(ones[2]) == 1
-    rng = random.Random(0)
-    pats = random_patterns(5, 7, rng)
-    assert len(pats) == 7 and all(len(p) == 5 for p in pats)
 
 
 def test_event_sim_rejects_sequential(sequential_circuit):
